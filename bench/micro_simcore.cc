@@ -16,8 +16,6 @@
 #include "core/fabric_experiment.h"
 #include "core/fleet_experiment.h"
 #include "core/incast_experiment.h"
-#include "core/scaling_experiment.h"
-#include "sim/domain.h"
 #include "net/topology.h"
 #include "obs/hub.h"
 #include "sim/auditor.h"
@@ -489,91 +487,6 @@ void BM_SweepRunnerScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepRunnerScaling)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
-
-void BM_ParallelFabric(benchmark::State& state) {
-  // One fixed degree-24 incast point on the PR-2 smoke fabric (2x2 leaves x
-  // 8 hosts, 2 spines), run on the engine state.range(0) selects: 0 = the
-  // legacy single-queue engine, N >= 1 = the conservative windowed engine
-  // with N rack domains (sim/parallel_simulator.h). Rows 0 vs 1 price the
-  // windowed engine's sequential overhead (keyed heap, window bookkeeping,
-  // barrier machinery at domain count one); rows 1 vs 2 give the intra-run
-  // speedup on this machine — real_time falls while process_time holds.
-  // items/sec counts simulator events. Byte identity across rows >= 1 is
-  // gated by the ParallelFabricDeterminism suite and the CI cmp smoke, not
-  // here; this bench only prices the decomposition.
-  core::ScalingConfig cfg;
-  cfg.fabric.num_pods = 2;
-  cfg.fabric.leaves_per_pod = 2;
-  cfg.fabric.hosts_per_leaf = 8;
-  cfg.fabric.aggs_per_pod = 0;
-  cfg.fabric.num_spines = 2;
-  cfg.bytes_per_flow = 27'000;
-  cfg.tcp.cc = tcp::CcAlgorithm::kDctcp;
-  cfg.seed = 11;
-  cfg.domains = static_cast<int>(state.range(0));
-
-  std::uint64_t events = 0;
-  std::uint64_t bridged = 0;
-  for (auto _ : state) {
-    const core::ScalingPoint p =
-        core::run_scaling_point(cfg, /*degree=*/24, cfg.seed, nullptr);
-    events += p.events_processed;
-    bridged += p.packets_bridged;
-    benchmark::DoNotOptimize(p.fct_ms);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["domains"] = static_cast<double>(cfg.domains);
-  state.counters["bridged"] = benchmark::Counter(
-      static_cast<double>(bridged), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_ParallelFabric)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
-
-void BM_DomainMailbox(benchmark::State& state) {
-  // The cross-domain handoff in isolation: during a window each producer
-  // domain appends to its private (src, dst) mailbox — a plain vector push,
-  // no locks — and at the barrier the coordinator walks and clears every
-  // box. state.range(0) is the domain count; 64 entries per directed pair
-  // approximates a saturated window on the smoke fabric. items/sec counts
-  // entries through the full post -> walk -> clear round trip, so this is
-  // the ceiling on mailbox throughput the fabric bridge can ever see.
-  struct Entry {
-    sim::Time at;
-    std::uint64_t key;
-    std::uint64_t payload;
-  };
-  const int domains = static_cast<int>(state.range(0));
-  sim::MailboxGrid<Entry> grid{domains};
-  constexpr std::uint64_t kPerPair = 64;
-
-  std::uint64_t moved = 0;
-  for (auto _ : state) {
-    for (int src = 0; src < domains; ++src) {
-      for (int dst = 0; dst < domains; ++dst) {
-        if (src == dst) continue;  // diagonal stays on the direct path
-        for (std::uint64_t i = 0; i < kPerPair; ++i) {
-          grid.box(src, dst).post(
-              {sim::Time::nanoseconds(static_cast<std::int64_t>(i)),
-               sim::make_event_key(static_cast<std::uint64_t>(src) + 1, i), i});
-        }
-      }
-    }
-    std::uint64_t checksum = 0;
-    for (int src = 0; src < domains; ++src) {
-      for (int dst = 0; dst < domains; ++dst) {
-        if (src == dst) continue;
-        auto& box = grid.box(src, dst);
-        for (const Entry& e : box.entries()) checksum += e.key;
-        moved += box.entries().size();
-        box.clear();
-      }
-    }
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(moved));
-  state.counters["domains"] = static_cast<double>(domains);
-}
-BENCHMARK(BM_DomainMailbox)->Arg(2)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

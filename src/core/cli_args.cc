@@ -123,30 +123,6 @@ sim::Time CliArgs::time_or(const std::string& key, sim::Time fallback,
   return value;
 }
 
-bool resolve_parallelism(int jobs_flag, int domains_flag, int hardware_threads,
-                         Parallelism& out, std::string& error) {
-  if (hardware_threads < 1) hardware_threads = 1;  // hardware_concurrency() may be 0
-  if (jobs_flag < 0 || domains_flag < 0) {
-    error = "--jobs/--domains: negative values are not a thread count";
-    return false;
-  }
-  const bool jobs_auto = jobs_flag == 0;
-  const bool domains_auto = domains_flag == 0;
-  out.domains = domains_auto ? hardware_threads : domains_flag;
-  out.jobs = jobs_auto ? (hardware_threads / out.domains > 1 ? hardware_threads / out.domains : 1)
-                       : jobs_flag;
-  if (!jobs_auto && !domains_auto && out.jobs > 1 && out.domains > 1 &&
-      static_cast<std::int64_t>(out.jobs) * out.domains > hardware_threads) {
-    error = "--jobs " + std::to_string(out.jobs) + " x --domains " +
-            std::to_string(out.domains) + " = " + std::to_string(out.jobs * out.domains) +
-            " CPU-bound threads oversubscribes this machine's " +
-            std::to_string(hardware_threads) +
-            " hardware thread(s); set one of them to 0 (auto) or lower the other";
-    return false;
-  }
-  return true;
-}
-
 void CliArgs::reject_unknown() {
   for (const auto& key : unused_keys()) {
     errors_.push_back("--" + key + ": unknown flag");

@@ -62,26 +62,6 @@ class CliArgs {
   std::vector<std::string> errors_;
 };
 
-// The resolved --jobs x --domains pair: sweep workers times engine threads
-// per point. Both are >= 1 after resolution.
-struct Parallelism {
-  int jobs{1};
-  int domains{1};
-};
-
-// Resolves the two parallelism flags against the machine. 0 means "auto"
-// for either: auto domains takes every hardware thread; auto jobs takes
-// whatever the domain count leaves over (at least 1), so the common
-// `--domains N` invocation never oversubscribes by accident. Explicit
-// oversubscription — both flags given, both above 1, and their product
-// beyond `hardware_threads` — is rejected with a diagnostic in `error`
-// (the CLI exits 2, the bad-invocation code): every simulation thread is
-// CPU-bound, so thread thrash only slows the run down and a typo like
-// `--jobs 64 --domains 64` should fail loudly, not quietly crawl.
-[[nodiscard]] bool resolve_parallelism(int jobs_flag, int domains_flag,
-                                       int hardware_threads, Parallelism& out,
-                                       std::string& error);
-
 }  // namespace incast::core
 
 #endif  // INCAST_CORE_CLI_ARGS_H_

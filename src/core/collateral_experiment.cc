@@ -317,6 +317,7 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
   }
   collect_fabric_counters(dumbbell, point);
   point.events_processed = sim.events_processed();
+  point.events_by_category = sim.events_by_category();
 
   if (observer.active()) {
     std::vector<double> bct_ms;
@@ -366,6 +367,7 @@ CollateralReport run_collateral_experiment(const CollateralConfig& config) {
     obs::Hub* hub = index == 0 ? config.hub : nullptr;
     CollateralPoint point = run_collateral_point(config, mode, degree, seed, hub);
     stats.events = point.events_processed;
+    stats.events_by_category = point.events_by_category;
     if (config.on_result) config.on_result(index, seed, point);
     return point;
   });

@@ -175,6 +175,9 @@ struct CollateralPoint {
   std::int64_t incast_nacks{0};
 
   std::uint64_t events_processed{0};
+  // Dispatch counts per event category (the sweep's event-loop profile);
+  // not part of the CSV and not journaled, so a resumed point leaves them 0.
+  sim::EventCategoryCounts events_by_category{};
   std::uint64_t audit_violations{0};
 
   // Tail autopsy (empty unless flow_trace): p50/p99/p999 attribution rows.

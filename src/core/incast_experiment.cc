@@ -102,7 +102,7 @@ IncastExperimentResult run_incast_experiment(const IncastExperimentConfig& confi
     injector = std::make_unique<fault::FaultInjector>(
         sim, config.seed ^ 0x9E3779B97F4A7C15ULL);
     // The core link's two directions, addressed through the uniform
-    // LinkDirectory names (the old core_link_tx/rx accessors are deprecated).
+    // LinkDirectory names.
     fault::LinkFault& fwd =
         injector->install(dumbbell.link("tor_s->tor_r"), config.faults.forward);
     fault::LinkFault& rev =

@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 
 #include "core/experiment_obs.h"
-#include "net/domain_bridge.h"
 #include "net/packet.h"
 #include "obs/flow_trace.h"
 #include "obs/hub.h"
 #include "obs/metrics.h"
-#include "sim/parallel_simulator.h"
 #include "sim/stable_arena.h"
 #include "tcp/tcp_connection.h"
 
@@ -29,286 +25,10 @@ namespace {
   return payload + segments * net::kHeaderBytes;
 }
 
-// One incast degree on the conservative parallel engine (config.domains >=
-// 1; see docs/PARALLELISM.md). The topology, flows, routing, and seeding
-// are identical to the legacy path — what changes is execution:
-//
-//   * each domain runs its own Simulator in keyed (decomposition-invariant)
-//     event order, so results are byte-identical at any domain count;
-//     domains == 1 is the sequential reference of that contract;
-//   * stop detection is barrier-granular: after the last flow completes,
-//     the in-flight window still finishes everywhere, so events_processed
-//     includes that window's tail — identically at every N;
-//   * packet_pool_bytes / event_bytes are barrier-sampled peaks (max over
-//     windows of live packets / pending events) instead of per-port and
-//     per-slab high-water marks, because those are decomposition artifacts;
-//     the barrier-state peaks are N-invariant by construction.
-ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
-                                        std::uint64_t seed, obs::Hub* hub) {
-  if (config.flow_trace) {
-    throw std::invalid_argument{
-        "flow_trace is not supported with domains >= 1: the tracer shards "
-        "per-domain and its sampling would not be decomposition-invariant"};
-  }
-
-  ScalingPoint point;
-  point.degree = degree;
-  const int n = config.domains;
-  point.parallel_domains = static_cast<std::uint64_t>(n);
-
-  // One simulator per domain, keyed ordering enabled before anything
-  // schedules. No hub is attached to any domain simulator: component-level
-  // tracing callbacks are not thread-safe across domains, so domain runs
-  // expose run-level observability only (registered further down).
-  std::vector<std::unique_ptr<sim::Simulator>> sims;
-  std::vector<sim::Simulator*> sim_ptrs;
-  sims.reserve(static_cast<std::size_t>(n));
-  sim_ptrs.reserve(static_cast<std::size_t>(n));
-  for (int d = 0; d < n; ++d) {
-    sims.push_back(std::make_unique<sim::Simulator>());
-    sims.back()->enable_keyed_ordering();
-    sims.back()->reserve_events(static_cast<std::size_t>(degree) * 8 /
-                                    static_cast<std::size_t>(n) +
-                                4096);
-    sim_ptrs.push_back(sims.back().get());
-  }
-
-#if INCAST_AUDIT_ENABLED
-  // One auditor per domain (hot-path hooks must not share cache lines),
-  // merged into a coordinator-side auditor at teardown. Per-domain event
-  // budgets are disabled — the global budget is enforced at barriers, where
-  // the total is well-defined.
-  std::vector<std::unique_ptr<sim::Auditor>> domain_auditors;
-  std::optional<sim::Auditor> merged;
-  if (config.audit_mode != sim::AuditMode::kOff) {
-    sim::Auditor::Config acfg = config.audit;
-    acfg.strict = config.audit_mode == sim::AuditMode::kStrict;
-    acfg.max_events = 0;
-    for (int d = 0; d < n; ++d) {
-      domain_auditors.push_back(std::make_unique<sim::Auditor>(acfg));
-      sim_ptrs[static_cast<std::size_t>(d)]->set_auditor(domain_auditors.back().get());
-    }
-    sim::Auditor::Config mcfg = acfg;
-    mcfg.max_wall_ms = 0.0;
-    mcfg.cancel = nullptr;
-    merged.emplace(mcfg);
-  }
-  sim::Auditor* drain_auditor = merged ? &*merged : nullptr;
-#else
-  sim::Auditor* drain_auditor = nullptr;
-#endif
-
-  fabric::FatTreeConfig fcfg = config.fabric;
-  fcfg.ecmp_seed = seed;
-  fabric::DomainAssignment assignment = fabric::assign_rack_domains(fcfg, n);
-  if (config.lookahead_override > sim::Time::zero()) {
-    assignment.lookahead = config.lookahead_override;
-  }
-  fabric::FatTree tree{sim_ptrs, assignment, fcfg};
-
-  const std::vector<net::Switch*> switches = tree.switches();
-  for (net::Switch* sw : switches) {
-    sw->reserve_flows(static_cast<std::size_t>(degree));
-  }
-
-  net::DomainBridge bridge{sim_ptrs};
-  bridge.attach(tree.nodes());
-
-  const int num_hosts = tree.num_hosts();
-  const int receiver = num_hosts - config.fabric.hosts_per_leaf;
-  const int sender_pool = num_hosts - 1;
-
-  // Completion tracking without cross-domain writes: every sender bumps its
-  // own domain's padded slot; the coordinator sums them at barriers. The
-  // run's FCT is the max last-ack time over slots — the same instant the
-  // legacy engine observes when the final on_all_acked fires.
-  struct alignas(64) CompletionSlot {
-    int completed{0};
-    std::int64_t last_ack_ns{0};
-  };
-  std::vector<CompletionSlot> slots(static_cast<std::size_t>(n));
-
-  sim::StableChunkArena<tcp::TcpConnection, 8> connections;
-  for (int f = 0; f < degree; ++f) {
-    const int slot = f % sender_pool;
-    const int sender_host = slot < receiver ? slot : slot + 1;
-    net::Host& sender = tree.host(sender_host);
-    tcp::TcpConnection& conn = connections.emplace_back(
-        sender, tree.host(receiver), static_cast<net::FlowId>(f) + 1, config.tcp);
-    CompletionSlot* cs = &slots[static_cast<std::size_t>(sender.domain())];
-    sim::Simulator* ssim = sim_ptrs[static_cast<std::size_t>(sender.domain())];
-    conn.sender().set_on_all_acked([cs, ssim] {
-      ++cs->completed;
-      const std::int64_t now_ns = ssim->now().ns();
-      if (now_ns > cs->last_ack_ns) cs->last_ack_ns = now_ns;
-    });
-  }
-
-  // All flows start at t=0, scheduled from this (still single) thread.
-  for (std::size_t i = 0; i < connections.size(); ++i) {
-    connections[i].sender().add_app_data(config.bytes_per_flow);
-  }
-
-  std::uint64_t peak_live_packets = 0;
-  std::uint64_t peak_events_pending = 0;
-  const auto sample = [&] {
-    const std::int64_t live = bridge.live_packets();
-    if (live > 0 && static_cast<std::uint64_t>(live) > peak_live_packets) {
-      peak_live_packets = static_cast<std::uint64_t>(live);
-    }
-    std::uint64_t pending = 0;
-    for (sim::Simulator* s : sim_ptrs) pending += s->events_pending();
-    if (pending > peak_events_pending) peak_events_pending = pending;
-  };
-  sample();  // the t=0 state counts too
-
-  const std::uint64_t max_events = config.audit.max_events;
-  sim::ParallelSimulator::Hooks hooks;
-  hooks.drain = [&bridge, drain_auditor](sim::Time completed_end) {
-    bridge.drain_all(completed_end, drain_auditor);
-  };
-  hooks.sample = sample;
-  hooks.should_stop = [&] {
-    if (max_events > 0) {
-      std::uint64_t total = 0;
-      for (sim::Simulator* s : sim_ptrs) total += s->events_processed();
-      if (total > max_events) {
-        throw sim::BudgetExceeded{"event budget " + std::to_string(max_events) +
-                                  " exhausted across " + std::to_string(n) +
-                                  " domains"};
-      }
-    }
-    int completed = 0;
-    for (const CompletionSlot& s : slots) completed += s.completed;
-    return completed == degree;
-  };
-
-  sim::ParallelSimulator engine{
-      sim_ptrs,
-      sim::ParallelSimulator::Config{.lookahead = assignment.lookahead,
-                                     .deadline = config.max_sim_time},
-      std::move(hooks)};
-  const sim::ParallelSimulator::Stats stats = engine.run();
-
-  net::check_no_unrouted(switches);
-#if INCAST_AUDIT_ENABLED
-  if (merged) {
-    for (const std::unique_ptr<sim::Auditor>& a : domain_auditors) {
-      merged->merge_from(*a);
-    }
-    merged->check_conservation(tree.residual_buffered_bytes() +
-                               bridge.ingress_wire_bytes());
-    point.audit_violations = merged->total_violations();
-  }
-#endif
-
-  int completed = 0;
-  std::int64_t last_ack_ns = 0;
-  for (const CompletionSlot& s : slots) {
-    completed += s.completed;
-    if (s.last_ack_ns > last_ack_ns) last_ack_ns = s.last_ack_ns;
-  }
-  point.completed_flows = completed;
-  const std::int64_t end_ns =
-      stats.stopped ? last_ack_ns : config.max_sim_time.ns();
-  point.fct_ms = sim::Time::nanoseconds(end_ns).ms();
-  const std::int64_t total_wire_bytes =
-      static_cast<std::int64_t>(degree) *
-      wire_bytes_per_flow(config.bytes_per_flow, config.tcp.mss_bytes);
-  point.optimal_ms =
-      (tree.base_rtt() + config.fabric.host_link.serialization_time(total_wire_bytes))
-          .ms();
-  if (point.optimal_ms > 0.0) {
-    point.overhead_pct = (point.fct_ms / point.optimal_ms - 1.0) * 100.0;
-  }
-
-  for (std::size_t i = 0; i < connections.size(); ++i) {
-    const tcp::TcpSender::Stats& s = connections[i].sender().stats();
-    point.timeouts += s.timeouts;
-    point.retransmits += s.retransmitted_packets;
-  }
-
-  point.flow_state_bytes = connections.bytes();
-  for (net::Switch* sw : switches) {
-    point.routing_bytes += sw->routing_bytes();
-    point.int_hop_overflows += sw->int_hop_overflows();
-    for (std::size_t i = 0; i < sw->num_ports(); ++i) {
-      point.queue_drops += sw->port(i).queue().stats().dropped_packets;
-    }
-  }
-  for (int h = 0; h < num_hosts; ++h) {
-    point.int_hop_overflows += tree.host(h).int_hop_overflows();
-  }
-  if (point.int_hop_overflows > 0) {
-    std::fprintf(stderr,
-                 "warning: %lld INT hop records overflowed the %d-entry stack "
-                 "(net.int.hop_overflow); telemetry CCAs saw truncated paths\n",
-                 static_cast<long long>(point.int_hop_overflows),
-                 net::kMaxIntHops);
-  }
-  point.packet_pool_bytes = peak_live_packets * sizeof(net::Packet);
-  point.event_bytes = peak_events_pending * sim::EventQueue::slot_bytes();
-  point.bytes_per_flow = (point.flow_state_bytes + point.packet_pool_bytes +
-                          point.routing_bytes + point.event_bytes) /
-                         static_cast<std::uint64_t>(degree);
-
-  std::uint64_t total_events = 0;
-  for (sim::Simulator* s : sim_ptrs) total_events += s->events_processed();
-  point.events_processed = total_events;
-
-  point.windows = stats.windows;
-  point.packets_bridged = bridge.packets_bridged();
-  point.barrier_stall_ns = stats.barrier_stall_ns;
-  point.events_per_domain = stats.events_per_domain;
-  point.window_hist = stats.window_hist;
-
-  // Run-level observability. Everything registered here is N-invariant
-  // (simulation results, not execution diagnostics), so --metrics-out is
-  // byte-identical at any --domains value.
-  ExperimentObserver observer{hub};
-  if (observer.active()) {
-    observer.watch_queue(tree.downlink_name(receiver), tree.downlink_queue(receiver));
-    obs::MetricsRegistry& metrics = observer.hub()->metrics();
-    metrics.register_gauge("scaling.fct_ms", [&point] { return point.fct_ms; });
-    metrics.register_gauge("scaling.overhead_pct",
-                           [&point] { return point.overhead_pct; });
-    metrics.register_gauge("scaling.bytes_per_flow", [&point] {
-      return static_cast<double>(point.bytes_per_flow);
-    });
-    metrics.register_gauge("scaling.flow_state_bytes", [&point] {
-      return static_cast<double>(point.flow_state_bytes);
-    });
-    metrics.register_gauge("scaling.packet_pool_bytes", [&point] {
-      return static_cast<double>(point.packet_pool_bytes);
-    });
-    metrics.register_gauge("scaling.routing_bytes", [&point] {
-      return static_cast<double>(point.routing_bytes);
-    });
-    metrics.register_gauge("scaling.event_bytes", [&point] {
-      return static_cast<double>(point.event_bytes);
-    });
-    metrics.register_gauge("parallel.windows", [&point] {
-      return static_cast<double>(point.windows);
-    });
-    metrics.register_counter("net.int.hop_overflow",
-                             [v = point.int_hop_overflows] { return v; });
-    observer.finish(end_ns, {point.fct_ms}, nullptr);
-    metrics.unregister_prefix("scaling.");
-    metrics.unregister_prefix("parallel.");
-    metrics.unregister_prefix("net.int.");
-  }
-
-  return point;
-}
-
 }  // namespace
 
 ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
                                std::uint64_t seed, obs::Hub* hub) {
-  if (config.domains >= 1) {
-    return run_scaling_point_parallel(config, degree, seed, hub);
-  }
-
   ScalingPoint point;
   point.degree = degree;
 
@@ -465,6 +185,7 @@ ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
                          static_cast<std::uint64_t>(degree);
 
   point.events_processed = sim.events_processed();
+  point.events_by_category = sim.events_by_category();
 
   if (observer.active()) {
     // Surface the budget decomposition in the final metrics snapshot, then
@@ -528,6 +249,7 @@ ScalingReport run_scaling_experiment(const ScalingConfig& config) {
         obs::Hub* hub = index == 0 ? config.hub : nullptr;
         ScalingPoint point = run_scaling_point(config, degree, seed, hub);
         stats.events = point.events_processed;
+        stats.events_by_category = point.events_by_category;
         if (config.on_result) config.on_result(index, seed, point);
         return point;
       });

@@ -33,7 +33,6 @@
 #ifndef INCAST_CORE_SCALING_EXPERIMENT_H_
 #define INCAST_CORE_SCALING_EXPERIMENT_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -43,7 +42,6 @@
 #include "fabric/fat_tree.h"
 #include "obs/flow_trace.h"
 #include "sim/auditor.h"
-#include "sim/domain.h"
 #include "sim/sweep.h"
 #include "tcp/tcp_config.h"
 
@@ -82,22 +80,6 @@ struct ScalingConfig {
   // threads. Results are ordered by degree index regardless.
   int jobs{1};
   sim::SweepRunner::Policy sweep{};
-
-  // Intra-run parallelism (conservative rack-domain decomposition, see
-  // docs/PARALLELISM.md). 0 — the default — runs the legacy single-queue
-  // engine, byte-identical to every release before the parallel engine
-  // existed. N >= 1 runs the windowed domain engine with N domains; its
-  // results are byte-identical at any N (domains=1 is the sequential
-  // reference of that contract), but are a *different* deterministic
-  // sequence than the legacy engine, whose equal-time tie-break is global
-  // insertion order — an ordering no decomposition can reproduce.
-  int domains{0};
-
-  // Test hook: overrides the conservative lookahead derived from the
-  // fabric (the minimum inter-domain propagation delay). Zero = derive.
-  // Inflating it past the real link delay manufactures lookahead
-  // violations, which is how the audit path is exercised.
-  sim::Time lookahead_override{sim::Time::zero()};
 
   // Journal checkpoint/resume (core/task_journal.h). resume(index, out)
   // returns true and fills `out` when a prior run already completed this
@@ -146,6 +128,9 @@ struct ScalingPoint {
   std::uint64_t bytes_per_flow{0};  // sum of the four, / degree
 
   std::uint64_t events_processed{0};
+  // Dispatch counts per event category (the sweep's event-loop profile);
+  // not part of the CSV and not journaled, so a resumed point leaves them 0.
+  sim::EventCategoryCounts events_by_category{};
   std::uint64_t audit_violations{0};
 
   // Tail autopsy (empty unless flow_trace): p50/p99/p999 attribution rows.
@@ -158,19 +143,6 @@ struct ScalingPoint {
   // INT hop-stamp overflows across all ports of this point's fabric.
   std::int64_t int_hop_overflows{0};
 
-  // Parallel-engine execution diagnostics (all zero/empty on the legacy
-  // engine). `windows` and `window_hist` are N-invariant; the rest describe
-  // the decomposition / thread schedule (`packets_bridged` is 0 at
-  // domains=1 and grows with the cut) and are deliberately excluded from
-  // the determinism contract — which is why none of these appear in
-  // scaling_csv (they print as a stdout footer instead).
-  std::uint64_t parallel_domains{0};
-  std::uint64_t windows{0};                      // conservative windows executed
-  std::uint64_t packets_bridged{0};              // cross-domain mailbox handoffs
-  std::uint64_t barrier_stall_ns{0};             // summed worker wait (wall)
-  std::vector<std::uint64_t> events_per_domain;  // dispatch counts, domain order
-  // log2-bucketed events-per-window histogram (bucket 0 = empty window).
-  std::array<std::uint64_t, sim::kWindowHistBuckets> window_hist{};
 };
 
 struct ScalingReport {

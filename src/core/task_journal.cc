@@ -211,11 +211,6 @@ std::string canonical_config(const ScalingConfig& config) {
   put(out, "bytes_per_flow", config.bytes_per_flow);
   put_tcp(out, config.tcp);
   put_time(out, "max_sim_time", config.max_sim_time);
-  // Engine identity, not domain count: the parallel engine is byte-identical
-  // at any N, so resuming under a different --domains is safe, while legacy
-  // vs parallel are distinct deterministic sequences (see the header).
-  put(out, "engine", static_cast<std::int64_t>(config.domains > 0 ? 1 : 0));
-  put_time(out, "lookahead_override", config.lookahead_override);
   put(out, "flow_trace", static_cast<std::int64_t>(config.flow_trace ? 1 : 0));
   put_u64(out, "flow_trace_sample_every", config.flow_trace_sample_every);
   put_u64(out, "seed", config.seed);
@@ -646,8 +641,6 @@ Json to_journal_payload(const ScalingPoint& point) {
   o["traced_flows"] = Json{static_cast<std::int64_t>(point.traced_flows)};
   o["flow_trace_incomplete"] = Json{static_cast<std::int64_t>(point.flow_trace_incomplete)};
   o["int_hop_overflows"] = Json{point.int_hop_overflows};
-  // The parallel-engine diagnostics (windows, per-domain splits, stalls) are
-  // intentionally absent — see the header. A replayed point reports zeros.
   return Json{std::move(o)};
 }
 

@@ -50,10 +50,6 @@ namespace incast::core {
 // by design — see the header comment.
 [[nodiscard]] std::string canonical_config(const FleetConfig& config);
 [[nodiscard]] std::string canonical_config(const ResilienceConfig& config);
-// scaling: `domains` enters only as engine=0|1 (legacy vs parallel) — the
-// parallel engine is byte-identical at any N, so a journal written at
-// --domains 8 resumes cleanly at --domains 2, while switching engines
-// (whose equal-time tie-breaks differ) refuses like any config change.
 [[nodiscard]] std::string canonical_config(const ScalingConfig& config);
 [[nodiscard]] std::string canonical_config(const CollateralConfig& config);
 
@@ -114,10 +110,7 @@ class TaskJournal {
 [[nodiscard]] ResiliencePoint resilience_point_from_payload(const Json& payload);
 
 // Scaling/collateral payloads carry every CSV column plus the tail-autopsy
-// percentile rows. The parallel-engine execution diagnostics (windows,
-// per-domain event splits, barrier stalls) are deliberately not journaled:
-// they describe how a run executed, not what it simulated, and a resumed
-// point may legitimately run under a different --domains value.
+// percentile rows.
 [[nodiscard]] Json to_journal_payload(const ScalingPoint& point);
 [[nodiscard]] ScalingPoint scaling_point_from_payload(const Json& payload);
 

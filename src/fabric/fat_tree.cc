@@ -20,49 +20,7 @@ std::string agg_node_name(int pod, int agg) {
 
 std::string spine_node_name(int spine) { return "s" + std::to_string(spine); }
 
-DomainAssignment assign_rack_domains(const FatTreeConfig& config, int domains) {
-  if (domains < 1) {
-    throw std::invalid_argument("assign_rack_domains: domains must be >= 1");
-  }
-  // Same shape validation as the FatTree ctor — this runs first when the
-  // single-simulator ctor delegates, and the caller deserves the documented
-  // std::invalid_argument, not a length_error from a negative resize.
-  if (config.num_pods < 1 || config.leaves_per_pod < 1 || config.hosts_per_leaf < 1 ||
-      config.num_spines < 1 || config.aggs_per_pod < 0) {
-    throw std::invalid_argument(
-        "FatTree: pods, leaves_per_pod, hosts_per_leaf and spines must be >= 1 "
-        "and aggs_per_pod >= 0");
-  }
-  DomainAssignment da;
-  da.domains = domains;
-  const int leaves = config.num_pods * config.leaves_per_pod;
-  const int aggs = config.num_pods * config.aggs_per_pod;
-  da.leaf_domain.resize(static_cast<std::size_t>(leaves));
-  da.agg_domain.resize(static_cast<std::size_t>(aggs));
-  da.spine_domain.resize(static_cast<std::size_t>(config.num_spines));
-  for (int gl = 0; gl < leaves; ++gl) {
-    da.leaf_domain[static_cast<std::size_t>(gl)] = gl % domains;
-  }
-  for (int ga = 0; ga < aggs; ++ga) {
-    da.agg_domain[static_cast<std::size_t>(ga)] = ga % domains;
-  }
-  for (int s = 0; s < config.num_spines; ++s) {
-    da.spine_domain[static_cast<std::size_t>(s)] = s % domains;
-  }
-  // Every link that can cross domains (host links never do — racks are
-  // atomic) shares the fabric's uniform propagation delay, so the
-  // conservative lookahead is simply link_delay.
-  da.lookahead = config.link_delay;
-  return da;
-}
-
-FatTree::FatTree(sim::Simulator& sim, const FatTreeConfig& config)
-    : FatTree{std::vector<sim::Simulator*>{&sim}, assign_rack_domains(config, 1),
-              config} {}
-
-FatTree::FatTree(const std::vector<sim::Simulator*>& sims,
-                 const DomainAssignment& assignment, const FatTreeConfig& config)
-    : config_{config} {
+FatTree::FatTree(sim::Simulator& sim, const FatTreeConfig& config) : config_{config} {
   if (config_.num_pods < 1 || config_.leaves_per_pod < 1 || config_.hosts_per_leaf < 1 ||
       config_.num_spines < 1 || config_.aggs_per_pod < 0) {
     throw std::invalid_argument(
@@ -73,60 +31,34 @@ FatTree::FatTree(const std::vector<sim::Simulator*>& sims,
   const int leaves = num_leaves();
   const int aggs = config_.num_pods * config_.aggs_per_pod;
 
-  if (assignment.leaf_domain.size() != static_cast<std::size_t>(leaves) ||
-      assignment.agg_domain.size() != static_cast<std::size_t>(aggs) ||
-      assignment.spine_domain.size() != static_cast<std::size_t>(config_.num_spines)) {
-    throw std::invalid_argument("FatTree: domain assignment shape mismatch");
-  }
-  const auto sim_of = [&sims](int domain) -> sim::Simulator& {
-    if (domain < 0 || static_cast<std::size_t>(domain) >= sims.size() ||
-        sims[static_cast<std::size_t>(domain)] == nullptr) {
-      throw std::invalid_argument("FatTree: domain index out of range");
-    }
-    return *sims[static_cast<std::size_t>(domain)];
-  };
-
   // Node ids: hosts first (so host ids match their global index), then
   // leaves, aggs, spines.
   net::NodeId next_id = 0;
   hosts_.reserve(static_cast<std::size_t>(num_hosts()));
   for (int p = 0; p < config_.num_pods; ++p) {
     for (int l = 0; l < config_.leaves_per_pod; ++l) {
-      const int dom =
-          assignment.leaf_domain[static_cast<std::size_t>(p * config_.leaves_per_pod + l)];
       for (int h = 0; h < config_.hosts_per_leaf; ++h) {
-        hosts_.push_back(std::make_unique<net::Host>(sim_of(dom), next_id++,
-                                                     host_node_name(p, l, h)));
-        hosts_.back()->set_domain(dom);
+        hosts_.push_back(
+            std::make_unique<net::Host>(sim, next_id++, host_node_name(p, l, h)));
       }
     }
   }
   leaves_.reserve(static_cast<std::size_t>(leaves));
   for (int p = 0; p < config_.num_pods; ++p) {
     for (int l = 0; l < config_.leaves_per_pod; ++l) {
-      const int dom =
-          assignment.leaf_domain[static_cast<std::size_t>(p * config_.leaves_per_pod + l)];
       leaves_.push_back(
-          std::make_unique<net::Switch>(sim_of(dom), next_id++, leaf_node_name(p, l)));
-      leaves_.back()->set_domain(dom);
+          std::make_unique<net::Switch>(sim, next_id++, leaf_node_name(p, l)));
     }
   }
   aggs_.reserve(static_cast<std::size_t>(aggs));
   for (int p = 0; p < config_.num_pods; ++p) {
     for (int a = 0; a < config_.aggs_per_pod; ++a) {
-      const int dom =
-          assignment.agg_domain[static_cast<std::size_t>(p * config_.aggs_per_pod + a)];
-      aggs_.push_back(
-          std::make_unique<net::Switch>(sim_of(dom), next_id++, agg_node_name(p, a)));
-      aggs_.back()->set_domain(dom);
+      aggs_.push_back(std::make_unique<net::Switch>(sim, next_id++, agg_node_name(p, a)));
     }
   }
   spines_.reserve(static_cast<std::size_t>(config_.num_spines));
   for (int s = 0; s < config_.num_spines; ++s) {
-    const int dom = assignment.spine_domain[static_cast<std::size_t>(s)];
-    spines_.push_back(
-        std::make_unique<net::Switch>(sim_of(dom), next_id++, spine_node_name(s)));
-    spines_.back()->set_domain(dom);
+    spines_.push_back(std::make_unique<net::Switch>(sim, next_id++, spine_node_name(s)));
   }
 
   // Host <-> leaf downlinks.
@@ -281,16 +213,6 @@ net::Host& FatTree::host(int pod, int leaf_index, int slot) {
 
 net::Switch& FatTree::agg(int pod, int a) {
   return *aggs_.at(static_cast<std::size_t>(pod * config_.aggs_per_pod + a));
-}
-
-std::vector<net::Node*> FatTree::nodes() {
-  std::vector<net::Node*> out;
-  out.reserve(hosts_.size() + leaves_.size() + aggs_.size() + spines_.size());
-  for (auto& h : hosts_) out.push_back(h.get());
-  for (auto& sw : leaves_) out.push_back(sw.get());
-  for (auto& sw : aggs_) out.push_back(sw.get());
-  for (auto& sw : spines_) out.push_back(sw.get());
-  return out;
 }
 
 std::vector<net::Switch*> FatTree::switches() {

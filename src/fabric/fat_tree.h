@@ -80,44 +80,11 @@ struct FatTreeConfig {
 [[nodiscard]] std::string agg_node_name(int pod, int agg);
 [[nodiscard]] std::string spine_node_name(int spine);
 
-// How a fabric is sharded across parallel-engine domains. A rack (one leaf
-// switch plus its hosts) is the atomic unit: host<->leaf links carry the
-// heaviest traffic and must never cross a domain boundary, so only
-// leaf<->agg/spine (and agg<->spine) links become mailbox links.
-struct DomainAssignment {
-  int domains{1};
-  std::vector<int> leaf_domain;   // per global leaf; its hosts follow it
-  std::vector<int> agg_domain;    // per global agg (pod-major)
-  std::vector<int> spine_domain;  // per spine
-  // Conservative lookahead: the minimum propagation delay over every link
-  // that can cross domains under this assignment.
-  sim::Time lookahead{sim::Time::zero()};
-};
-
-// Rack-domain decomposition: leaves (with their racks) round-robin over the
-// domains, and the core tier (aggs in a three-tier fabric, spines always)
-// round-robins as well, so core switches spread across domains instead of
-// serializing on one. `domains` may exceed the entity count — surplus
-// domains simply idle. Throws std::invalid_argument on domains < 1.
-[[nodiscard]] DomainAssignment assign_rack_domains(const FatTreeConfig& config,
-                                                   int domains);
-
 class FatTree : public net::LinkDirectory {
  public:
   // Throws std::invalid_argument on a non-positive pod/leaf/host/spine
   // count or a negative agg count.
   FatTree(sim::Simulator& sim, const FatTreeConfig& config);
-
-  // Domain-decomposed build for the parallel engine: every node is
-  // constructed against its domain's simulator (`sims[d]` = domain d) and
-  // tagged with Node::set_domain, so a DomainBridge can be attached over
-  // nodes(). Node ids, link wiring, routes, and ECMP seeding are identical
-  // to the single-simulator build — decomposition changes where events
-  // execute, never what the topology is. Throws std::invalid_argument if
-  // the assignment's shape does not match the config or an index is out of
-  // range of `sims`.
-  FatTree(const std::vector<sim::Simulator*>& sims,
-          const DomainAssignment& assignment, const FatTreeConfig& config);
 
   [[nodiscard]] const FatTreeConfig& config() const noexcept { return config_; }
   [[nodiscard]] bool three_tier() const noexcept { return config_.aggs_per_pod > 0; }
@@ -152,10 +119,6 @@ class FatTree : public net::LinkDirectory {
 
   // Every switch, for teardown checks (check_no_unrouted) and sweeps.
   [[nodiscard]] std::vector<net::Switch*> switches();
-
-  // Every node (hosts, then leaves, aggs, spines — id order), for
-  // DomainBridge::attach and whole-fabric walks.
-  [[nodiscard]] std::vector<net::Node*> nodes();
 
   // The leaf egress queue feeding host i's downlink — the incast bottleneck
   // when i is a receiver.

@@ -8,11 +8,6 @@
 
 namespace incast::net {
 
-std::uint64_t Port::next_key() {
-  assert(owner_ != nullptr || !sim_.keyed_ordering());
-  return owner_ != nullptr ? owner_->next_event_key() : 0;
-}
-
 void Port::set_trace_label(const std::string& label) {
   obs::Hub* hub = INCAST_OBS_HUB(sim_);
   if (hub == nullptr || !hub->enabled()) {
@@ -107,7 +102,7 @@ void Port::pause_for(sim::Time duration) {
   }
   // (Re)arm the auto-expiry; a newer pause supersedes any pending one.
   const std::uint64_t epoch = ++pause_epoch_;
-  sim_.schedule_in_keyed(duration, next_key(), [this, epoch] {
+  sim_.schedule_in(duration, [this, epoch] {
     if (paused_ && epoch == pause_epoch_) finish_pause();
   }, sim::EventCategory::kNet);
 }
@@ -188,12 +183,12 @@ void Port::maybe_transmit() {
   // Two-phase delivery: the transmitter frees up after serialization, then
   // the packet arrives at the peer one propagation delay later. Packets on
   // the wire live in the port's pool; the events carry only the handle.
-  Packet* p = acquire_pooled();
+  Packet* p = pool_.acquire();
   *p = std::move(*next);
 #if INCAST_AUDIT_ENABLED
   wire_bytes_ += p->size_bytes;
 #endif
-  sim_.schedule_in_keyed(serialization, next_key(), [this, p] {
+  sim_.schedule_in(serialization, [this, p] {
     busy_ = false;
     deliver(p);
     maybe_transmit();
@@ -214,50 +209,17 @@ void Port::deliver(Packet* p) {
         a->record_depth("port.wire", 0, wire_bytes_);
       }
 #endif
-      release_pooled(p);
+      pool_.release(p);
       return;
     }
     if (v.corrupt) p->corrupted = true;
     delay += v.extra_delay;
     duplicate = v.duplicate;
   }
-  if (bridge_ != nullptr) {
-    // Cross-domain link: propagation happens in the destination domain.
-    // The packet leaves this port's pool and wire ledger here; the bridge's
-    // ingress ledger owns it until the arrival event fires on the peer's
-    // simulator. The (time, key) stamp is assigned now, on the transmit
-    // side, so merge order at the destination is exactly the order an
-    // intra-domain delivery would have had.
-    const sim::Time at = sim_.now() + delay;
-    const std::int64_t size = p->size_bytes;
-    if (duplicate) {
-      // Posted after the original with a later key from the same lane, so
-      // the destination still delivers original-then-copy. The copy is a
-      // fresh injection at the duplication point (same ledger rule as the
-      // intra-domain path).
-      Packet copy = *p;
-#if INCAST_AUDIT_ENABLED
-      if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_injected(copy.size_bytes);
-#endif
-      bridge_->post(src_domain_, dst_domain_, at, next_key(), std::move(*p),
-                    peer_, peer_in_port_);
-      bridge_->post(src_domain_, dst_domain_, at, next_key(), std::move(copy),
-                    peer_, peer_in_port_);
-    } else {
-      bridge_->post(src_domain_, dst_domain_, at, next_key(), std::move(*p),
-                    peer_, peer_in_port_);
-    }
-#if INCAST_AUDIT_ENABLED
-    wire_bytes_ -= size;
-    if (auto* a = INCAST_AUDITOR(sim_)) a->record_depth("port.wire", 0, wire_bytes_);
-#endif
-    release_pooled(p);
-    return;
-  }
   if (duplicate) {
     // Scheduled after the original at the same timestamp, so FIFO
     // tie-breaking delivers original-then-copy.
-    Packet* copy = acquire_pooled();
+    Packet* copy = pool_.acquire();
     *copy = *p;
 #if INCAST_AUDIT_ENABLED
     // A duplicated packet is a fresh injection at the duplication point —
@@ -266,21 +228,19 @@ void Port::deliver(Packet* p) {
     wire_bytes_ += copy->size_bytes;
     if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_injected(copy->size_bytes);
 #endif
-    sim_.schedule_in_keyed(delay, next_key(), [this, p] { arrive(p); },
-                           sim::EventCategory::kNet);
-    sim_.schedule_in_keyed(delay, next_key(), [this, copy] { arrive(copy); },
-                           sim::EventCategory::kNet);
+    sim_.schedule_in(delay, [this, p] { arrive(p); }, sim::EventCategory::kNet);
+    sim_.schedule_in(delay, [this, copy] { arrive(copy); },
+                     sim::EventCategory::kNet);
     return;
   }
-  sim_.schedule_in_keyed(delay, next_key(), [this, p] { arrive(p); },
-                         sim::EventCategory::kNet);
+  sim_.schedule_in(delay, [this, p] { arrive(p); }, sim::EventCategory::kNet);
 }
 
 void Port::arrive(Packet* p) {
   // Move to the stack and release the slot first: receive() can re-enter
   // this port (a switch forwarding back out, a host ACKing) and acquire it.
   Packet delivered = std::move(*p);
-  release_pooled(p);
+  pool_.release(p);
 #if INCAST_AUDIT_ENABLED
   wire_bytes_ -= delivered.size_bytes;
   if (auto* a = INCAST_AUDITOR(sim_)) {

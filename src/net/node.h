@@ -16,7 +16,6 @@
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "net/queue.h"
-#include "sim/domain.h"
 #include "sim/simulator.h"
 #include "sim/stable_arena.h"
 #include "sim/units.h"
@@ -71,20 +70,6 @@ class DequeueTap {
  public:
   virtual ~DequeueTap() = default;
   virtual void on_dequeue(const Packet& p, sim::Time now) = 0;
-};
-
-// Egress side of a cross-domain link under the parallel engine: instead of
-// scheduling the propagation arrival on its own simulator, a bridged Port
-// posts the packet — stamped with its arrival time and decomposition-
-// invariant tie-break key — to a mailbox owned by the destination domain
-// (net/domain_bridge.h). With no bridge installed (the default, and always
-// for intra-domain links), Ports keep the exact historical delivery path.
-class MailboxEgress {
- public:
-  virtual ~MailboxEgress() = default;
-  virtual void post(int src_domain, int dst_domain, sim::Time at,
-                    std::uint64_t key, Packet&& p, Node* dst,
-                    std::size_t dst_in_port) = 0;
 };
 
 class Port {
@@ -186,45 +171,12 @@ class Port {
   // in-flight pool's slot count, for bytes-per-flow accounting.
   [[nodiscard]] std::size_t pool_high_water() const noexcept { return pool_.high_water(); }
 
-  // --- Parallel-engine wiring (net/domain_bridge.h) -----------------------
-
-  // Back-pointer to the owning Node, set by Node::add_port. The parallel
-  // engine draws equal-time tie-break keys from the owner's lane.
-  void set_owner(Node* owner) noexcept { owner_ = owner; }
-
-  // Points this port's pool accounting at the owning domain's live-packet
-  // counter (in-flight packets enter at acquire, leave at release). The
-  // counter must be written only from the domain that runs this port.
-  void set_live_counter(std::int64_t* counter) noexcept { live_counter_ = counter; }
-
-  // Routes this port's deliveries through a cross-domain mailbox instead of
-  // local scheduling. Install only on ports whose peer lives in a different
-  // domain; the bridge must outlive the port's traffic.
-  void set_bridge(MailboxEgress* bridge, int src_domain, int dst_domain) noexcept {
-    bridge_ = bridge;
-    src_domain_ = src_domain;
-    dst_domain_ = dst_domain;
-  }
-
  private:
   void maybe_transmit();
   // Consults the hook (if any) and schedules the packet's arrival at the
   // peer after propagation. `p` is a pooled handle owned by this port; it
   // is released (or handed to the propagation event) before returning.
   void deliver(Packet* p);
-  // Pool acquire/release with the owning domain's live-packet count kept in
-  // step (no-cost when no counter is installed — the legacy path).
-  [[nodiscard]] Packet* acquire_pooled() {
-    if (live_counter_ != nullptr) ++*live_counter_;
-    return pool_.acquire();
-  }
-  void release_pooled(Packet* p) noexcept {
-    if (live_counter_ != nullptr) --*live_counter_;
-    pool_.release(p);
-  }
-  // Next equal-time tie-break key from the owning node's lane (defined in
-  // node.cc — needs the full Node type).
-  [[nodiscard]] std::uint64_t next_key();
   // Fires when a packet finishes propagating: moves it out of the pool and
   // hands it to the peer.
   void arrive(Packet* p);
@@ -239,13 +191,8 @@ class Port {
   // propagating). Closures capture {this, Packet*} — 16 bytes — instead of
   // moving the full struct (INT stack included) through the event kernel.
   PacketPool pool_;
-  Node* owner_{nullptr};
   Node* peer_{nullptr};
   std::size_t peer_in_port_{0};
-  MailboxEgress* bridge_{nullptr};
-  int src_domain_{0};
-  int dst_domain_{0};
-  std::int64_t* live_counter_{nullptr};
   bool busy_{false};
   bool int_stamping_{false};
   std::int64_t wire_bytes_{0};
@@ -293,7 +240,6 @@ class Node {
   std::size_t add_port(sim::Bandwidth bandwidth, sim::Time propagation_delay,
                        const DropTailQueue::Config& queue_config) {
     ports_.emplace_back(sim_, bandwidth, propagation_delay, queue_config);
-    ports_[ports_.size() - 1].set_owner(this);
     return ports_.size() - 1;
   }
 
@@ -304,20 +250,6 @@ class Node {
   [[nodiscard]] NodeId id() const noexcept { return id_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
-
-  // Which parallel-engine domain this node executes in (0 when the run is
-  // not decomposed). Assigned once by the topology builder.
-  void set_domain(int domain) noexcept { domain_ = domain; }
-  [[nodiscard]] int domain() const noexcept { return domain_; }
-
-  // Next equal-time tie-break key from this node's lane (sim/domain.h).
-  // Lane = NodeId + 1, so node lanes never collide with the ambient lane;
-  // node ids are assigned in deterministic topology-construction order, so
-  // keys are decomposition-invariant. Only code executing in this node's
-  // domain may call this — lane counters are unsynchronized by design.
-  [[nodiscard]] std::uint64_t next_event_key() noexcept {
-    return sim::make_event_key(static_cast<std::uint64_t>(id_) + 1, lane_seq_++);
-  }
 
   // Total INT hop-stamp overflows across this node's ports (see
   // Port::int_hop_overflows).
@@ -333,8 +265,6 @@ class Node {
  private:
   NodeId id_;
   std::string name_;
-  int domain_{0};
-  std::uint64_t lane_seq_{0};
   // Ports are address-pinned (their closures capture `this`), so they live
   // in a chunked arena: stable addresses, 8 ports per heap allocation
   // instead of one each, and chunk-local contiguity for the port walks the

@@ -14,7 +14,6 @@ const char* to_string(AuditInvariant inv) noexcept {
     case AuditInvariant::kRtoBounds: return "rto_bounds";
     case AuditInvariant::kLivelock: return "livelock";
     case AuditInvariant::kFlowBreakdown: return "flow_breakdown";
-    case AuditInvariant::kLookahead: return "lookahead";
   }
   return "unknown";
 }

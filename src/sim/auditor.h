@@ -90,9 +90,8 @@ enum class AuditInvariant : std::uint8_t {
   kRtoBounds,         // RTO below min_rto or above the sanity cap
   kLivelock,          // too many events without sim-time advance
   kFlowBreakdown,     // FCT attribution components do not sum to the FCT
-  kLookahead,         // cross-domain event landed inside a completed window
 };
-inline constexpr std::size_t kNumAuditInvariants = 8;
+inline constexpr std::size_t kNumAuditInvariants = 7;
 
 [[nodiscard]] const char* to_string(AuditInvariant inv) noexcept;
 
@@ -265,45 +264,6 @@ class Auditor {
                   std::to_string(component_sum_ns) + "ns but fct=" +
                   std::to_string(fct_ns) + "ns");
     }
-  }
-
-  // --- Parallel-engine hooks (called by net::DomainBridge / core) ---------
-
-  // A mailbox entry surfaced at a barrier with a timestamp inside the
-  // window that just finished executing: the conservative contract
-  // (arrival >= window end) was broken, which means the configured
-  // lookahead exceeds some inter-domain link's real propagation delay.
-  // Strict mode aborts the run; relaxed mode counts it (the result is then
-  // *not* decomposition-invariant and the counter says so).
-  void report_lookahead(std::int64_t entry_ns, std::int64_t window_end_ns) {
-    violate(AuditInvariant::kLookahead,
-            "cross-domain event at " + std::to_string(entry_ns) +
-                "ns inside completed window ending " +
-                std::to_string(window_end_ns) + "ns");
-  }
-
-  // Folds another auditor's counters into this one. The parallel engine
-  // runs one auditor per domain (hot-path hooks must not share cache
-  // lines) and merges them into the coordinator's auditor at teardown,
-  // before check_conservation — so strict audit stays exact across the
-  // whole fabric. Budgets/watchdogs of `other` are not merged; they are
-  // per-domain concerns.
-  void merge_from(const Auditor& other) noexcept {
-    for (std::size_t i = 0; i < kNumAuditInvariants; ++i) {
-      violations_[i] += other.violations_[i];
-    }
-    injected_bytes_ += other.injected_bytes_;
-    delivered_bytes_ += other.delivered_bytes_;
-    dropped_bytes_ += other.dropped_bytes_;
-    injected_packets_ += other.injected_packets_;
-    delivered_packets_ += other.delivered_packets_;
-    dropped_packets_ += other.dropped_packets_;
-    trimmed_bytes_ += other.trimmed_bytes_;
-    trimmed_packets_ += other.trimmed_packets_;
-    control_injected_bytes_ += other.control_injected_bytes_;
-    control_consumed_bytes_ += other.control_consumed_bytes_;
-    control_frames_ += other.control_frames_;
-    events_seen_ += other.events_seen();
   }
 
   // --- Teardown -----------------------------------------------------------

@@ -67,21 +67,16 @@ class EventQueue {
   // still pop events in heap order, so the kernel asserts on it instead.
   EventId push(Time at, Callback cb,
                EventCategory category = EventCategory::kGeneric) {
-    return push_with_seq(at, next_seq_++, std::move(cb), category);
-  }
-
-  // Schedules `cb` with an explicit tie-break key instead of the queue's
-  // insertion counter. The parallel engine uses this to impose one global
-  // (time, key) order across per-domain queues: keys are composed from
-  // per-entity lanes (sim/domain.h), so equal-time ordering is independent
-  // of which queue an event lands in. A queue must not mix push() and
-  // push_keyed() — the insertion counter and external keys draw from
-  // unrelated number spaces, so interleaving them would make equal-time
-  // order depend on scheduling history. Simulator enforces this by routing
-  // every push through one mode or the other.
-  EventId push_keyed(Time at, std::uint64_t key, Callback cb,
-                     EventCategory category = EventCategory::kGeneric) {
-    return push_with_seq(at, key, std::move(cb), category);
+    const std::uint32_t slot = acquire_slot();
+    Slot& s = slots_[slot];
+    s.cb = std::move(cb);
+    s.category = category;
+    s.live = true;
+    heap_.push_back(Entry{at, next_seq_++, slot});
+    sift_up(heap_.size() - 1);
+    if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
+    ++live_;
+    return encode_id(slot, s.generation);
   }
 
   // Cancels a pending event. Cancelling an id that already fired (or was
@@ -162,20 +157,6 @@ class EventQueue {
   [[nodiscard]] static EventId encode_id(std::uint32_t slot,
                                          std::uint32_t generation) noexcept {
     return (static_cast<std::uint64_t>(slot) + 1) << 32 | generation;
-  }
-
-  EventId push_with_seq(Time at, std::uint64_t seq, Callback cb,
-                        EventCategory category) {
-    const std::uint32_t slot = acquire_slot();
-    Slot& s = slots_[slot];
-    s.cb = std::move(cb);
-    s.category = category;
-    s.live = true;
-    heap_.push_back(Entry{at, seq, slot});
-    sift_up(heap_.size() - 1);
-    if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
-    ++live_;
-    return encode_id(slot, s.generation);
   }
 
   [[nodiscard]] std::uint32_t acquire_slot() {

@@ -74,30 +74,6 @@ class Simulator {
     return schedule_at(now_ + delay, std::move(cb), category);
   }
 
-  // Keyed scheduling for the parallel engine (sim/domain.h). In keyed mode
-  // equal-time events fire in ascending `key` order — the caller composes
-  // keys from per-entity lanes so the order is decomposition-invariant.
-  // When keyed ordering is off (the default), the key is ignored and these
-  // behave exactly like schedule_at/schedule_in, so shared component code
-  // can call them unconditionally.
-  EventId schedule_at_keyed(Time at, std::uint64_t key, Callback cb,
-                            EventCategory category = EventCategory::kGeneric);
-  EventId schedule_in_keyed(Time delay, std::uint64_t key, Callback cb,
-                            EventCategory category = EventCategory::kGeneric) {
-    return schedule_at_keyed(now_ + delay, key, std::move(cb), category);
-  }
-
-  // Switches equal-time tie-breaking from the insertion counter to explicit
-  // keys. Must be called before any event is scheduled; from then on plain
-  // schedule_at/schedule_in draw keys from the ambient lane (lane 0 —
-  // setup-time scheduling only; see sim/domain.h).
-  void enable_keyed_ordering() noexcept {
-    assert(events_pending() == 0 && events_processed_ == 0 &&
-           "keyed ordering must be chosen before any event is scheduled");
-    keyed_ = true;
-  }
-  [[nodiscard]] bool keyed_ordering() const noexcept { return keyed_; }
-
   // Cancels a pending event; no-op if it already fired.
   void cancel(EventId id) { queue_.cancel(id); }
 
@@ -108,22 +84,6 @@ class Simulator {
   // Events scheduled beyond the deadline stay queued, so simulation can be
   // resumed with further run_until() calls.
   void run_until(Time deadline);
-
-  // Runs every event with timestamp strictly below `end` and returns.
-  // Unlike run_until() this neither clears stopped_ nor advances now() to
-  // the boundary: it is the inner step of a conservative window [T, T+L),
-  // called repeatedly by the parallel coordinator, and the clock must stay
-  // at the last dispatched event so cross-window schedule_in() arithmetic
-  // keeps its meaning.
-  void run_window(Time end) {
-    while (queue_.next_time() < end) dispatch_one();
-  }
-
-  // Moves the clock forward without running anything (used by the parallel
-  // engine to finish a run at the deadline on domains that went idle).
-  void advance_to(Time t) noexcept {
-    if (t > now_) now_ = t;
-  }
 
   // Requests that run()/run_until() return after the current event.
   void stop() noexcept { stopped_ = true; }
@@ -183,9 +143,7 @@ class Simulator {
   EventQueue queue_;
   Time now_{Time::zero()};
   bool stopped_{false};
-  bool keyed_{false};
   bool profiling_{false};
-  std::uint64_t ambient_key_{0};
   std::uint64_t events_processed_{0};
   EventCategoryCounts events_by_category_{};
   std::array<double, kNumEventCategories> wall_ns_by_category_{};

@@ -26,15 +26,6 @@ class TcpConnection {
       : sender_{sim, sender_host, receiver_host.id(), flow, config},
         receiver_{sim, receiver_host, sender_host.id(), flow, config} {}
 
-  // Domain-decomposed variant: each endpoint schedules on its own host's
-  // simulator, so a connection may straddle two parallel-engine domains
-  // (the endpoints only ever talk through the network, never directly).
-  TcpConnection(net::Host& sender_host, net::Host& receiver_host,
-                net::FlowId flow, const TcpConfig& config)
-      : sender_{sender_host.simulator(), sender_host, receiver_host.id(), flow, config},
-        receiver_{receiver_host.simulator(), receiver_host, sender_host.id(), flow,
-                  config} {}
-
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
 

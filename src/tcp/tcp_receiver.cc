@@ -162,7 +162,7 @@ void TcpReceiver::send_ack(bool ece, bool duplicate) {
 
 void TcpReceiver::schedule_delayed_ack() {
   if (ack_timer_ != sim::kInvalidEventId) return;
-  ack_timer_ = sim_.schedule_in_keyed(config_.delayed_ack_timeout, local_.next_event_key(), [this] {
+  ack_timer_ = sim_.schedule_in(config_.delayed_ack_timeout, [this] {
     ack_timer_ = sim::kInvalidEventId;
     if (pending_segments_ > 0) flush_delayed_ack();
   }, sim::EventCategory::kTcp);

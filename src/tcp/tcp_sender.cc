@@ -416,7 +416,7 @@ void TcpSender::paced_send(std::int64_t cwnd) {
   if (now < pace_next_) {
     // Too soon: wake up when the pacing gap has elapsed.
     if (pace_timer_ == sim::kInvalidEventId) {
-      pace_timer_ = sim_.schedule_at_keyed(pace_next_, local_.next_event_key(), [this] {
+      pace_timer_ = sim_.schedule_at(pace_next_, [this] {
         pace_timer_ = sim::kInvalidEventId;
         if (ft_ != nullptr) ft_unblock(obs::FlowTracer::UnblockCause::kTimer);
         try_send();
@@ -481,7 +481,7 @@ void TcpSender::arm_tlp() {
       rtt_.has_sample() ? rtt_.srtt() : rtt_.config().initial_rto;
   sim::Time pto = srtt * config_.pto_srtt_multiplier;
   if (pto < config_.min_pto) pto = config_.min_pto;
-  tlp_timer_ = sim_.schedule_in_keyed(pto, local_.next_event_key(), [this] {
+  tlp_timer_ = sim_.schedule_in(pto, [this] {
     tlp_timer_ = sim::kInvalidEventId;
     on_pto();
   }, sim::EventCategory::kTcp);
@@ -528,7 +528,7 @@ sim::Time TcpSender::current_rto() const noexcept {
 void TcpSender::arm_rto() {
   if (rto_timer_ != sim::kInvalidEventId) return;
   if (auto* a = INCAST_AUDITOR(sim_)) a->check_rto(flow_, current_rto());
-  rto_timer_ = sim_.schedule_in_keyed(current_rto(), local_.next_event_key(), [this] {
+  rto_timer_ = sim_.schedule_in(current_rto(), [this] {
     rto_timer_ = sim::kInvalidEventId;
     on_rto();
   }, sim::EventCategory::kTcp);

@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Command-line contract of `incast_sim scaling`, run as two ctest cases.
+
+Usage: cli_scaling_test.py INCAST_SIM CHECK_TRACE CASE
+
+  domains-rejected  `scaling --domains 4` names --domains as an unknown flag
+                    and exits 2 (bad invocation) instead of ignoring it.
+  trace-runs        `scaling --degrees 64 --flow-trace --trace-out T.json`
+                    exits 0 and T.json passes tools/check_trace.py.
+"""
+from __future__ import annotations
+
+import subprocess
+import sys
+import tempfile
+
+
+def domains_rejected(incast_sim: str, _check_trace: str, workdir: str) -> str | None:
+    run = subprocess.run([incast_sim, "scaling", "--domains", "4"], cwd=workdir,
+                         capture_output=True, text=True, timeout=60)
+    if run.returncode != 2:
+        return f"expected exit 2, got {run.returncode}; stderr:\n{run.stderr}"
+    if "--domains: unknown flag" not in run.stderr:
+        return f"stderr does not name --domains as unknown:\n{run.stderr}"
+    return None
+
+
+def trace_runs(incast_sim: str, check_trace: str, workdir: str) -> str | None:
+    run = subprocess.run([incast_sim, "scaling", "--degrees", "64", "--jobs", "1",
+                          "--flow-trace", "--trace-out", "T.json"],
+                         cwd=workdir, capture_output=True, text=True, timeout=300)
+    if run.returncode != 0:
+        return f"scaling exited {run.returncode}; stderr:\n{run.stderr}"
+    check = subprocess.run([sys.executable, check_trace, "T.json"], cwd=workdir,
+                           capture_output=True, text=True, timeout=120)
+    if check.returncode != 0:
+        return f"check_trace.py rejected T.json:\n{check.stdout}{check.stderr}"
+    return None
+
+
+CASES = {"domains-rejected": domains_rejected, "trace-runs": trace_runs}
+
+
+def main() -> int:
+    if len(sys.argv) != 4 or sys.argv[3] not in CASES:
+        print(__doc__, file=sys.stderr)
+        return 2
+    incast_sim, check_trace, case = sys.argv[1:]
+    with tempfile.TemporaryDirectory() as workdir:
+        error = CASES[case](incast_sim, check_trace, workdir)
+    if error is not None:
+        print(f"FAIL {case}: {error}", file=sys.stderr)
+        return 1
+    print(f"ok {case}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -273,53 +273,6 @@ TEST(Auditor, EventBudgetAbortsExperiment) {
   EXPECT_THROW(core::run_incast_experiment(cfg), BudgetExceeded);
 }
 
-TEST(Auditor, LookaheadViolationThrowsInStrictCountsInRelaxed) {
-  Auditor relaxed;
-  relaxed.report_lookahead(/*entry_ns=*/100, /*window_end_ns=*/200);
-  EXPECT_EQ(relaxed.violations(AuditInvariant::kLookahead), 1u);
-  EXPECT_STREQ(to_string(AuditInvariant::kLookahead), "lookahead");
-
-  Auditor strict{Auditor::Config{.strict = true}};
-  try {
-    strict.report_lookahead(100, 200);
-    FAIL() << "expected AuditFailure";
-  } catch (const AuditFailure& e) {
-    EXPECT_STREQ(e.invariant(), "lookahead");
-  }
-}
-
-TEST(Auditor, MergeFromFoldsLedgersViolationsAndEventCounts) {
-  // The parallel engine's teardown path: per-domain ledgers must fold into
-  // one exact global ledger, so strict conservation holds fabric-wide even
-  // though no single domain's books balance on their own.
-  Auditor a;
-  Auditor b;
-  a.on_bytes_injected(1000);      // domain A injects...
-  b.on_bytes_delivered(600);      // ...domain B receives
-  b.on_bytes_dropped(150);
-  b.on_bytes_trimmed(50);
-  a.on_control_injected(64);
-  b.on_control_consumed(64);
-  b.report_lookahead(1, 2);
-  a.on_dispatch(Time::zero(), 1_us);
-  b.on_dispatch(Time::zero(), 1_us);
-
-  Auditor merged;
-  merged.merge_from(a);
-  merged.merge_from(b);
-  EXPECT_EQ(merged.injected_bytes(), 1000);
-  EXPECT_EQ(merged.delivered_bytes(), 600);
-  EXPECT_EQ(merged.dropped_bytes(), 150);
-  EXPECT_EQ(merged.trimmed_bytes(), 50);
-  EXPECT_EQ(merged.control_injected_bytes(), 64);
-  EXPECT_EQ(merged.control_consumed_bytes(), 64);
-  EXPECT_EQ(merged.violations(AuditInvariant::kLookahead), 1u);
-  EXPECT_EQ(merged.events_seen(), 2u);
-  // 1000 + 64 == 600 + 64 + 150 + 50 + residual 200: books balance.
-  merged.check_conservation(/*residual_bytes=*/200);
-  EXPECT_EQ(merged.violations(AuditInvariant::kConservation), 0u);
-}
-
 #endif  // INCAST_AUDIT_ENABLED
 
 TEST(Auditor, ParseAuditMode) {

@@ -120,73 +120,5 @@ TEST(CliArgs, FlagFollowedByFlagIsBare) {
   EXPECT_EQ(args.int_or("b", 0), 7);
 }
 
-TEST(ResolveParallelism, AutoDomainsTakeEveryHardwareThread) {
-  Parallelism p;
-  std::string err;
-  ASSERT_TRUE(resolve_parallelism(/*jobs=*/0, /*domains=*/0, /*hw=*/8, p, err));
-  EXPECT_EQ(p.domains, 8);
-  EXPECT_EQ(p.jobs, 1);  // 8 / 8 leaves nothing over
-}
-
-TEST(ResolveParallelism, AutoJobsTakeWhatTheDomainsLeaveOver) {
-  Parallelism p;
-  std::string err;
-  ASSERT_TRUE(resolve_parallelism(0, /*domains=*/2, /*hw=*/8, p, err));
-  EXPECT_EQ(p.domains, 2);
-  EXPECT_EQ(p.jobs, 4);
-}
-
-TEST(ResolveParallelism, AutoJobsNeverDropBelowOne) {
-  Parallelism p;
-  std::string err;
-  ASSERT_TRUE(resolve_parallelism(0, /*domains=*/16, /*hw=*/4, p, err));
-  EXPECT_EQ(p.domains, 16);
-  EXPECT_EQ(p.jobs, 1);
-}
-
-TEST(ResolveParallelism, ZeroHardwareThreadsMeansOne) {
-  // std::thread::hardware_concurrency() may legitimately return 0.
-  Parallelism p;
-  std::string err;
-  ASSERT_TRUE(resolve_parallelism(0, 0, /*hw=*/0, p, err));
-  EXPECT_EQ(p.domains, 1);
-  EXPECT_EQ(p.jobs, 1);
-}
-
-TEST(ResolveParallelism, ExplicitOversubscriptionIsRejected) {
-  Parallelism p;
-  std::string err;
-  EXPECT_FALSE(resolve_parallelism(/*jobs=*/4, /*domains=*/4, /*hw=*/8, p, err));
-  EXPECT_NE(err.find("oversubscribes"), std::string::npos);
-  EXPECT_NE(err.find("16"), std::string::npos);  // the offending product
-}
-
-TEST(ResolveParallelism, ExplicitFitIsAccepted) {
-  Parallelism p;
-  std::string err;
-  ASSERT_TRUE(resolve_parallelism(/*jobs=*/2, /*domains=*/4, /*hw=*/8, p, err));
-  EXPECT_EQ(p.jobs, 2);
-  EXPECT_EQ(p.domains, 4);
-}
-
-TEST(ResolveParallelism, SerialSideStaysPermissive) {
-  // jobs=1 means the sweep is serial: a large explicit --domains is fine
-  // even past the hardware count (the engine's threads block at barriers,
-  // they do not thrash), and vice versa for --jobs with one domain.
-  Parallelism p;
-  std::string err;
-  ASSERT_TRUE(resolve_parallelism(/*jobs=*/1, /*domains=*/64, /*hw=*/4, p, err));
-  EXPECT_EQ(p.domains, 64);
-  ASSERT_TRUE(resolve_parallelism(/*jobs=*/64, /*domains=*/1, /*hw=*/4, p, err));
-  EXPECT_EQ(p.jobs, 64);
-}
-
-TEST(ResolveParallelism, NegativeValuesAreRejected) {
-  Parallelism p;
-  std::string err;
-  EXPECT_FALSE(resolve_parallelism(-1, 0, 8, p, err));
-  EXPECT_FALSE(resolve_parallelism(0, -2, 8, p, err));
-}
-
 }  // namespace
 }  // namespace incast::core

@@ -6,6 +6,7 @@
 // races the grid across a real worker pool.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "core/collateral_experiment.h"
@@ -45,6 +46,26 @@ TEST(CollateralSweepDeterminism, CsvIsByteIdenticalAcrossJobCounts) {
     const std::string csv = core::collateral_csv(core::run_collateral_experiment(cfg));
     EXPECT_EQ(baseline, csv) << "jobs=" << jobs;
   }
+}
+
+// Every freshly simulated point hands its Simulator's per-category dispatch
+// counts to SweepRunner, so each task's categories partition its events.
+TEST(CollateralSweepDeterminism, EventCategoryCountsSumToEventsProcessed) {
+  core::CollateralConfig cfg = small_grid();
+  cfg.jobs = 4;
+  const core::CollateralReport report = core::run_collateral_experiment(cfg);
+  ASSERT_EQ(report.sweep.tasks.size(), report.points.size());
+  for (std::size_t i = 0; i < report.points.size(); ++i) {
+    const sim::SweepRunner::TaskStats& task = report.sweep.tasks[i];
+    std::uint64_t categorized = 0;
+    for (const std::uint64_t n : task.events_by_category) categorized += n;
+    EXPECT_GT(task.events, 0u) << core::to_string(report.points[i].mode);
+    EXPECT_EQ(categorized, task.events) << core::to_string(report.points[i].mode);
+    EXPECT_EQ(categorized, report.points[i].events_processed);
+  }
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : report.sweep.events_by_category) total += n;
+  EXPECT_EQ(total, report.sweep.total_events);
 }
 
 TEST(CollateralSweepDeterminism, EveryModeRunsCleanUnderTheStrictAuditor) {

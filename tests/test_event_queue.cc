@@ -146,32 +146,6 @@ TEST(EventQueue, GenerationSurvivesManyReuses) {
   EXPECT_EQ(q.pop().id, live);
 }
 
-TEST(EventQueue, KeyedPushOrdersEqualTimestampsByKeyNotInsertion) {
-  // The parallel engine's merge primitive: equal-time events fire in key
-  // order regardless of the order they entered the queue, so a mailbox
-  // drain lands cross-domain arrivals in exactly their global rank.
-  EventQueue q;
-  std::vector<int> fired;
-  const std::uint64_t keys[] = {7, 2, 9, 0, 5};
-  for (int i = 0; i < 5; ++i) {
-    q.push_keyed(5_us, keys[i], [&fired, k = static_cast<int>(keys[i])] {
-      fired.push_back(k);
-    });
-  }
-  while (!q.empty()) q.pop().cb();
-  EXPECT_EQ(fired, (std::vector<int>{0, 2, 5, 7, 9}));
-}
-
-TEST(EventQueue, KeyedPushStillOrdersByTimeFirst) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.push_keyed(2_us, 0, [&] { fired.push_back(2); });
-  q.push_keyed(1_us, 99, [&] { fired.push_back(1); });
-  q.push_keyed(1_us, 3, [&] { fired.push_back(10); });
-  while (!q.empty()) q.pop().cb();
-  EXPECT_EQ(fired, (std::vector<int>{10, 1, 2}));
-}
-
 TEST(EventQueue, StressInterleavedPushPopCancel) {
   EventQueue q;
   int fired = 0;

@@ -194,5 +194,28 @@ TEST(ScalingSweepDeterminism, EveryPointCompletesAndDecomposesItsMemory) {
   EXPECT_LT(report.points.back().bytes_per_flow, report.points.front().bytes_per_flow);
 }
 
+// The sweep's event-loop profile: every freshly simulated point hands its
+// Simulator's per-category dispatch counts to SweepRunner, so each task's
+// categories (and the sweep totals) partition its events exactly.
+TEST(ScalingSweepDeterminism, EventCategoryCountsSumToEventsProcessed) {
+  core::ScalingConfig cfg = small_ladder();
+  cfg.jobs = 4;
+  const core::ScalingReport report = core::run_scaling_experiment(cfg);
+  ASSERT_EQ(report.sweep.tasks.size(), report.points.size());
+  for (std::size_t i = 0; i < report.points.size(); ++i) {
+    const sim::SweepRunner::TaskStats& task = report.sweep.tasks[i];
+    std::uint64_t categorized = 0;
+    for (const std::uint64_t n : task.events_by_category) categorized += n;
+    EXPECT_GT(task.events, 0u) << "degree " << report.points[i].degree;
+    EXPECT_EQ(categorized, task.events) << "degree " << report.points[i].degree;
+    EXPECT_EQ(categorized, report.points[i].events_processed);
+  }
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : report.sweep.events_by_category) total += n;
+  EXPECT_EQ(total, report.sweep.total_events);
+  EXPECT_GT(report.sweep.events_by_category[static_cast<std::size_t>(sim::EventCategory::kNet)],
+            0u);
+}
+
 }  // namespace
 }  // namespace incast

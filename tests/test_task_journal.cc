@@ -383,11 +383,9 @@ TEST(TaskJournal, ScalingPointPayloadRoundTrips) {
   row.flow.rto_wait_ns = 2'000'000;
   row.flow.other_ns = 625'000;
   p.fct_rows.push_back(row);
-  // Parallel diagnostics are execution-only and must NOT survive the
-  // journal: a resumed point may run under a different --domains.
-  p.parallel_domains = 8;
-  p.windows = 1000;
-  p.packets_bridged = 5000;
+  // The event-loop profile is sweep telemetry, not a result: it must NOT
+  // survive the journal, so a replayed point reports zeros.
+  p.events_by_category[static_cast<std::size_t>(sim::EventCategory::kNet)] = 90'000;
 
   const ScalingPoint back =
       scaling_point_from_payload(Json::parse(to_journal_payload(p).dump()));
@@ -417,9 +415,7 @@ TEST(TaskJournal, ScalingPointPayloadRoundTrips) {
   EXPECT_EQ(back.fct_rows[0].flow.q_tor_ns, row.flow.q_tor_ns);
   EXPECT_EQ(back.fct_rows[0].flow.rto_wait_ns, row.flow.rto_wait_ns);
   EXPECT_EQ(back.fct_rows[0].flow.other_ns, row.flow.other_ns);
-  EXPECT_EQ(back.parallel_domains, 0u);  // excluded by design
-  EXPECT_EQ(back.windows, 0u);
-  EXPECT_EQ(back.packets_bridged, 0u);
+  EXPECT_EQ(back.events_by_category, sim::EventCategoryCounts{});  // excluded by design
 }
 
 TEST(TaskJournal, CollateralPointPayloadRoundTrips) {
@@ -478,20 +474,11 @@ TEST(TaskJournal, CollateralPointPayloadRoundTrips) {
   EXPECT_EQ(back.fct_rows[0].flow.nack_recovery_ns, row.flow.nack_recovery_ns);
 }
 
-TEST(TaskJournalFingerprint, ScalingCoversEngineIdentityNotDomainCount) {
+TEST(TaskJournalFingerprint, ScalingCoversResultKnobsNotJobs) {
   ScalingConfig a;
   a.degrees = {1, 2, 8};
-  a.domains = 2;
-  ScalingConfig b = a;
-  b.domains = 8;
-  // The parallel engine is byte-identical at any N: a journal written at
-  // --domains 2 must resume at --domains 8.
-  EXPECT_EQ(canonical_config(a), canonical_config(b));
-  // ...but the legacy engine is a different deterministic sequence.
-  b.domains = 0;
-  EXPECT_NE(canonical_config(a), canonical_config(b));
   // Result-determining knobs all move the fingerprint.
-  b = a;
+  ScalingConfig b = a;
   b.degrees = {1, 2, 4};
   EXPECT_NE(canonical_config(a), canonical_config(b));
   b = a;
@@ -630,9 +617,9 @@ TEST(SweepJournalResume, KilledSweepResumesByteIdentical) {
   }
 }
 
-// The PR 2 smoke fabric at a tiny ladder, on the windowed domain engine —
-// the journal must also hold across a --domains change between runs.
-ScalingConfig journal_ladder() {
+// The PR 2 smoke fabric at a tiny ladder — the journal must also hold
+// across a --jobs change between runs.
+ScalingConfig journal_ladder(int jobs) {
   ScalingConfig cfg;
   cfg.degrees = {1, 2, 8};
   cfg.fabric.num_pods = 2;
@@ -642,16 +629,15 @@ ScalingConfig journal_ladder() {
   cfg.fabric.num_spines = 2;
   cfg.bytes_per_flow = 27'000;
   cfg.seed = 11;
-  cfg.jobs = 1;
-  cfg.domains = 1;
+  cfg.jobs = jobs;
   return cfg;
 }
 
-TEST(SweepJournalResume, ScalingLadderResumesByteIdenticalAcrossDomainCounts) {
-  const std::string want = scaling_csv(run_scaling_experiment(journal_ladder()));
+TEST(SweepJournalResume, ScalingLadderResumesByteIdenticalAcrossJobs) {
+  const std::string want = scaling_csv(run_scaling_experiment(journal_ladder(1)));
 
   const std::string path = temp_path("scaling.journal");
-  auto cfg = journal_ladder();
+  auto cfg = journal_ladder(1);
   const JournalHeader header{"scaling", fnv1a(canonical_config(cfg)), cfg.degrees.size()};
 
   // Phase 1: journal only the first two points — a "crash" before the third.
@@ -664,16 +650,15 @@ TEST(SweepJournalResume, ScalingLadderResumesByteIdenticalAcrossDomainCounts) {
     (void)run_scaling_experiment(cfg);
   }
 
-  // Phase 2: resume under a *different* domain count. The fingerprint
-  // encodes engine identity, not N, so the journal is accepted; the two
-  // stored points replay, the third runs fresh, and the merged CSV is
-  // byte-identical to the uninterrupted run.
+  // Phase 2: resume under a *different* --jobs. The fingerprint excludes
+  // execution knobs, so the journal is accepted; the two stored points
+  // replay, the third runs fresh, and the merged CSV is byte-identical to
+  // the uninterrupted run.
   {
     TaskJournal journal;
     journal.open(path, header);
     ASSERT_EQ(journal.completed_count(), 2u);
-    auto resumed_cfg = journal_ladder();
-    resumed_cfg.domains = 2;
+    auto resumed_cfg = journal_ladder(2);
     std::atomic<int> replayed{0};
     resumed_cfg.resume = [&](std::size_t index, ScalingPoint& out) {
       const Json* payload = journal.payload(index);

@@ -140,9 +140,14 @@ TEST(Dumbbell, NamedLinksCoverEveryLink) {
 
   // 2 sender links + core + 1 receiver link, both directions each.
   EXPECT_EQ(d.link_names().size(), 8u);
-  // The named core link is the same port the deprecated accessors expose.
-  EXPECT_EQ(&d.link("tor_s->tor_r"), &d.core_link_tx());
-  EXPECT_EQ(&d.link("tor_r->tor_s"), &d.core_link_rx());
+  // The named core link is the pair of ToR uplink ports: tor_s wires its
+  // sender downlinks first, tor_r its uplink before any receiver downlink.
+  Port& s_uplink = d.sender_tor().port(static_cast<std::size_t>(cfg.num_senders));
+  Port& r_uplink = d.receiver_tor().port(0);
+  EXPECT_EQ(s_uplink.peer(), &d.receiver_tor());
+  EXPECT_EQ(r_uplink.peer(), &d.sender_tor());
+  EXPECT_EQ(&d.link("tor_s->tor_r"), &s_uplink);
+  EXPECT_EQ(&d.link("tor_r->tor_s"), &r_uplink);
   EXPECT_NE(d.find_link("sender0->tor_s"), nullptr);
   EXPECT_NE(d.find_link("tor_r->receiver0"), nullptr);
   EXPECT_EQ(d.find_link("bogus"), nullptr);

@@ -22,17 +22,6 @@
 //       decomposition, and FCT overhead — so tools/check_bench_regression.py
 //       gates both throughput and the --memory bytes-per-flow budget from
 //       the same artifact.
-//   bench_report parallel [--out BENCH_parallel.json] [--degree 512]
-//                         [--domains 8] [--bytes 270000] [--seed 1]
-//       The intra-run engine's report: one incast degree on the 432-host
-//       fat-tree, run once per rung of a domain ladder (1, 2, 4, ...,
-//       --domains) through the conservative windowed engine. Every rung's
-//       CSV must be byte-identical to the domains=1 reference (exit 1 on
-//       divergence — that is the decomposition-invariance contract). Emits
-//       google-benchmark-shaped JSON — one "BM_ParallelPoint/<domains>"
-//       entry per rung with wall time, events/sec, windows, packets
-//       bridged, and barrier stall — so the speedup trajectory is
-//       archivable and diffable across commits like the other reports.
 #include <array>
 #include <cstdio>
 #include <sstream>
@@ -278,123 +267,21 @@ int run_scaling_report(core::CliArgs& args) {
   return identical ? 0 : 1;
 }
 
-int run_parallel_report(core::CliArgs& args) {
-  const std::string out_path = args.get_or("out", "BENCH_parallel.json");
-  const int degree = static_cast<int>(args.int_or("degree", 512, 1, 100'000));
-  const int max_domains = static_cast<int>(args.int_or("domains", 8, 1, 1024));
-
-  core::ScalingConfig cfg;
-  cfg.degrees = {degree};
-  cfg.bytes_per_flow = args.int_or("bytes", cfg.bytes_per_flow, 1, 1'000'000'000);
-  cfg.seed = static_cast<std::uint64_t>(args.int_or("seed", 1));
-  cfg.tcp.cc = tcp::CcAlgorithm::kDctcp;
-  cfg.tcp.rtt.min_rto = 200_ms;
-  cfg.jobs = 1;  // one point: all parallelism is intra-run
-  args.reject_unknown();
-  for (const auto& err : args.errors()) std::fprintf(stderr, "error: %s\n", err.c_str());
-  if (!args.errors().empty()) return 2;
-
-  // Domain ladder: 1, 2, 4, ... up to the requested width. The domains=1
-  // rung is the sequential reference of the windowed engine's determinism
-  // contract — every later rung's CSV must match it byte for byte.
-  std::vector<int> ladder{1};
-  for (int d = 2; d < max_domains; d *= 2) ladder.push_back(d);
-  if (max_domains > 1) ladder.push_back(max_domains);
-
-  struct DomainRung {
-    int domains{1};
-    double wall_ms{0.0};
-    core::ScalingPoint point;
-  };
-  std::string baseline_csv;
-  bool identical = true;
-  std::vector<DomainRung> rungs;
-  for (const int domains : ladder) {
-    cfg.domains = domains;
-    const core::ScalingReport report = core::run_scaling_experiment(cfg);
-    const std::string csv = core::scaling_csv(report);
-    if (domains == 1) {
-      baseline_csv = csv;
-    } else if (csv != baseline_csv) {
-      identical = false;
-    }
-    DomainRung rung;
-    rung.domains = domains;
-    rung.wall_ms = report.sweep.tasks.front().wall_ms;
-    rung.point = report.points.front();
-    rungs.push_back(std::move(rung));
-    std::printf("domains=%d: %.2f ms wall, %llu windows, %llu bridged, "
-                "%.2f ms stalled\n",
-                domains, rungs.back().wall_ms,
-                static_cast<unsigned long long>(rungs.back().point.windows),
-                static_cast<unsigned long long>(rungs.back().point.packets_bridged),
-                static_cast<double>(rungs.back().point.barrier_stall_ns) / 1e6);
-  }
-
-  const double base_ms = rungs.front().wall_ms;
-  const double top_ms = rungs.back().wall_ms;
-  const double speedup = top_ms > 0.0 ? base_ms / top_ms : 0.0;
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"context\": {\"benchmark\": \"parallel_fabric\", "
-                    "\"degree\": %d, \"bytes_per_flow\": %lld, "
-                    "\"speedup_at_%d_domains\": %.3f, \"identical_csv\": %s},\n",
-               degree, static_cast<long long>(cfg.bytes_per_flow),
-               rungs.back().domains, speedup, identical ? "true" : "false");
-  std::fprintf(out, "  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    const DomainRung& r = rungs[i];
-    const core::ScalingPoint& p = r.point;
-    const double events_per_sec =
-        r.wall_ms > 0.0 ? static_cast<double>(p.events_processed) / (r.wall_ms / 1e3)
-                        : 0.0;
-    std::fprintf(out,
-                 "    {\"name\": \"BM_ParallelPoint/%d\", \"run_type\": \"iteration\", "
-                 "\"real_time\": %.1f, \"time_unit\": \"ns\", "
-                 "\"items_per_second\": %.1f, \"windows\": %llu, "
-                 "\"packets_bridged\": %llu, \"barrier_stall_ms\": %.3f, "
-                 "\"events\": %llu}%s\n",
-                 r.domains, r.wall_ms * 1e6, events_per_sec,
-                 static_cast<unsigned long long>(p.windows),
-                 static_cast<unsigned long long>(p.packets_bridged),
-                 static_cast<double>(p.barrier_stall_ns) / 1e6,
-                 static_cast<unsigned long long>(p.events_processed),
-                 i + 1 < rungs.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-
-  std::printf("speedup at %d domains vs 1: %.2fx, CSV identical: %s -> %s\n",
-              rungs.back().domains, speedup, identical ? "yes" : "NO",
-              out_path.c_str());
-  // A diverging CSV is a broken determinism contract, not a perf data
-  // point; fail loudly so CI catches it.
-  return identical ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const std::string command = argc >= 2 ? argv[1] : "";
-    if (command != "sweep" && command != "scaling" && command != "parallel") {
+    if (command != "sweep" && command != "scaling") {
       std::fprintf(stderr,
                    "usage: bench_report sweep [--out BENCH_sweep.json] "
                    "[--jobs N] [--hosts H] [--snapshots S] [--trace 100ms]\n"
                    "       bench_report scaling [--out BENCH_scaling.json] "
-                   "[--degrees 64,512,2000] [--bytes 270000] [--jobs 4]\n"
-                   "       bench_report parallel [--out BENCH_parallel.json] "
-                   "[--degree 512] [--domains 8] [--bytes 270000]\n");
+                   "[--degrees 64,512,2000] [--bytes 270000] [--jobs 4]\n");
       return 2;
     }
     incast::core::CliArgs args{argc - 1, argv + 1};
-    if (command == "sweep") return run_sweep_report(args);
-    if (command == "scaling") return run_scaling_report(args);
-    return run_parallel_report(args);
+    return command == "sweep" ? run_sweep_report(args) : run_scaling_report(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

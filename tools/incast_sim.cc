@@ -64,19 +64,13 @@
 //                      [--pods 12] [--leaves 6] [--hosts-per-leaf 6]
 //                      [--aggs 6] [--spines 36] [--cc dctcp]
 //                      [--min-rto 200ms] [--max-sim-time 120s] [--seed 1]
-//                      [--jobs N] [--domains N] [--export-csv scaling.csv]
+//                      [--jobs N] [--export-csv scaling.csv]
 //       Runs the htsim incast_scaling sweep: N senders each push one
 //       fixed-size transfer to a single receiver on a 432-host three-tier
 //       fat-tree, for N from 1 to 8000. Reports FCT overhead versus the
 //       optimal (base RTT + bottleneck serialization) per degree, plus a
 //       deterministic bytes-per-flow memory decomposition (flow state,
 //       packet pools, routing tables, event-kernel slab).
-//       --domains N parallelizes each point *internally*: the fabric is
-//       decomposed by rack into N conservatively-synchronized domains (see
-//       docs/PARALLELISM.md), producing byte-identical CSVs at any N >= 1
-//       (0 = one domain per hardware thread; flag absent = the legacy
-//       single-queue engine). Incompatible with the per-event observers
-//       (--flow-trace / --trace-out / --flight-recorder).
 //
 //   --jobs N (fleet, faults, collateral, scaling) runs the independent simulations of a sweep on
 //   N worker threads (work-stealing; default: all hardware threads). Seeds
@@ -159,7 +153,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/burst_detector.h"
@@ -1175,11 +1168,6 @@ int run_scaling(core::CliArgs& args) {
   cfg.max_sim_time = args.time_or("max-sim-time", sim::Time::seconds(120), 1_ns);
   cfg.seed = static_cast<std::uint64_t>(args.int_or("seed", 1));
   cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
-  // --domains absent: the legacy single-queue engine (byte-identical to
-  // every release before the parallel engine). --domains 0: the windowed
-  // domain engine, one domain per hardware thread. --domains N: N domains.
-  const bool domains_given = args.has("domains");
-  const int domains_flag = static_cast<int>(args.int_or("domains", 0, 0, 1024));
   cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
 
   const std::string cc_name = args.get_or("cc", "dctcp");
@@ -1198,28 +1186,6 @@ int run_scaling(core::CliArgs& args) {
   ObsCli obs_cli;
   if (!obs_cli.parse(args)) return 2;
   if (const int rc = finish(args); rc != 0) return rc;
-  if (domains_given) {
-    // Per-event observability is not sharded across domain queues: the
-    // tracer, flow tracer and flight recorder would interleave differently
-    // at every N. The N-invariant metrics snapshot (--metrics-out) is fine.
-    if (ft.enabled || !obs_cli.trace_out.empty() || !obs_cli.trigger_spec.empty()) {
-      std::fprintf(stderr,
-                   "error: --domains is incompatible with --flow-trace / --trace-out / "
-                   "--flight-recorder (per-event observability is per-engine-queue; "
-                   "--metrics-out works on any engine)\n");
-      return 2;
-    }
-    core::Parallelism par;
-    std::string perr;
-    if (!core::resolve_parallelism(
-            cfg.jobs, domains_flag,
-            static_cast<int>(std::thread::hardware_concurrency()), par, perr)) {
-      std::fprintf(stderr, "error: %s\n", perr.c_str());
-      return 2;
-    }
-    cfg.jobs = par.jobs;
-    cfg.domains = par.domains;
-  }
   cfg.hub = obs_cli.hub.get();
   cfg.audit_mode = hard.audit_mode;
   cfg.audit = hard.audit;
@@ -1288,41 +1254,6 @@ int run_scaling(core::CliArgs& args) {
       add_p99_row(ft_t, "scaling", p.degree, p.fct_rows);
     }
     ft_t.print();
-  }
-
-  if (cfg.domains >= 1) {
-    // Execution diagnostics, not results: everything here except `windows`
-    // and the histogram varies with --domains and machine load, which is
-    // why it goes to stdout instead of the (byte-stable) CSV.
-    std::printf("\nparallel engine: %d domain(s) per point, conservative windows:\n",
-                cfg.domains);
-    core::Table pt{{"degree", "windows", "bridged", "stall", "ev/domain min..max",
-                    "windows w/ 0|<=8|>8 events"}};
-    for (std::size_t i = 0; i < report.points.size(); ++i) {
-      if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
-      const auto& p = report.points[i];
-      if (p.parallel_domains == 0) continue;  // resumed from a journal
-      std::uint64_t ev_min = 0, ev_max = 0;
-      for (const std::uint64_t ev : p.events_per_domain) {
-        if (ev_min == 0 || ev < ev_min) ev_min = ev;
-        if (ev > ev_max) ev_max = ev;
-      }
-      // Fold the log2 histogram into empty / small / busy windows.
-      std::uint64_t empty = p.window_hist[0], small = 0, busy = 0;
-      for (std::size_t b = 1; b < p.window_hist.size(); ++b) {
-        (b <= 3 ? small : busy) += p.window_hist[b];
-      }
-      pt.add_row({std::to_string(p.degree),
-                  std::to_string(static_cast<unsigned long long>(p.windows)),
-                  std::to_string(static_cast<unsigned long long>(p.packets_bridged)),
-                  core::fmt(static_cast<double>(p.barrier_stall_ns) / 1e6, 1) + " ms",
-                  std::to_string(static_cast<unsigned long long>(ev_min)) + ".." +
-                      std::to_string(static_cast<unsigned long long>(ev_max)),
-                  std::to_string(static_cast<unsigned long long>(empty)) + " | " +
-                      std::to_string(static_cast<unsigned long long>(small)) + " | " +
-                      std::to_string(static_cast<unsigned long long>(busy))});
-    }
-    pt.print();
   }
 
   std::printf("\n");
