@@ -144,9 +144,10 @@ BENCHMARK(BM_RngLognormal);
 void BM_QueueEnqueueDequeue(benchmark::State& state) {
   net::DropTailQueue q{{.capacity_packets = 1333, .ecn_threshold_packets = 65}};
   const net::Packet p = net::make_data_packet(0, 1, 1, 0, 1460);
+  net::Packet out;
   for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) (void)q.enqueue(p);
-    while (auto out = q.dequeue()) benchmark::DoNotOptimize(*out);
+    for (int i = 0; i < 64; ++i) (void)q.enqueue(net::Packet{p});
+    while (q.dequeue(out)) benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
@@ -163,9 +164,10 @@ void BM_CompositeQueueTrim(benchmark::State& state) {
   cfg.discipline = net::QueueDiscipline::kTrimming;
   net::CompositeQueue q{cfg};
   const net::Packet p = net::make_data_packet(0, 1, 1, 0, 1460);
+  net::Packet out;
   for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) (void)q.enqueue(p);
-    while (auto out = q.dequeue()) benchmark::DoNotOptimize(*out);
+    for (int i = 0; i < 64; ++i) (void)q.enqueue(net::Packet{p});
+    while (q.dequeue(out)) benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
@@ -367,7 +369,7 @@ BENCHMARK_CAPTURE(BM_FlowTraceOverhead, on, 2)
 struct SinkNode final : net::Node {
   using net::Node::Node;
   std::int64_t received{0};
-  void receive(net::Packet /*p*/, std::size_t /*in_port*/) override { ++received; }
+  void receive(net::Packet&& /*p*/, std::size_t /*in_port*/) override { ++received; }
 };
 
 void BM_SwitchEcmpRoute(benchmark::State& state) {

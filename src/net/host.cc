@@ -13,7 +13,7 @@ std::size_t Host::add_nic(sim::Bandwidth bandwidth, sim::Time propagation_delay,
   return nic_port_;
 }
 
-void Host::send(Packet p) {
+void Host::send(Packet&& p) {
   assert(has_nic_);
   if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_injected(p.size_bytes);
   port(nic_port_).send(std::move(p));
@@ -26,7 +26,7 @@ void Host::register_flow(FlowId flow, PacketHandler* handler) {
 
 void Host::unregister_flow(FlowId flow) { flows_.erase(flow); }
 
-void Host::receive(Packet p, std::size_t in_port) {
+void Host::receive(Packet&& p, std::size_t in_port) {
   if (p.is_ctrl()) [[unlikely]] {
     // PFC pause/resume from the ToR: applied to the NIC and consumed at
     // the MAC layer — the host stack (taps included) never sees it.

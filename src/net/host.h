@@ -18,7 +18,9 @@ namespace incast::net {
 class PacketHandler {
  public:
   virtual ~PacketHandler() = default;
-  virtual void handle_packet(Packet p) = 0;
+  // `p` is the caller's packet, handed over: the handler may consume it,
+  // and the caller reads nothing from it afterwards.
+  virtual void handle_packet(Packet&& p) = 0;
 };
 
 // Observes every packet arriving at the host NIC (read-only).
@@ -37,8 +39,9 @@ class Host : public Node {
   std::size_t add_nic(sim::Bandwidth bandwidth, sim::Time propagation_delay,
                       const DropTailQueue::Config& queue_config);
 
-  // Sends a packet out of the NIC.
-  void send(Packet p);
+  // Sends a packet out of the NIC. The caller reads nothing from `p`
+  // afterwards (see Port::send).
+  void send(Packet&& p);
 
   // Registers `handler` for packets of `flow`. The handler must outlive the
   // registration; unregister before destroying it.
@@ -48,7 +51,7 @@ class Host : public Node {
   // Adds a read-only observer of all ingress packets (e.g. Millisampler).
   void add_ingress_tap(IngressTap* tap) { taps_.push_back(tap); }
 
-  void receive(Packet p, std::size_t in_port) override;
+  void receive(Packet&& p, std::size_t in_port) override;
 
   [[nodiscard]] sim::Bandwidth nic_bandwidth() const { return port(nic_port_).bandwidth(); }
 

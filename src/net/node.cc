@@ -22,7 +22,7 @@ void Port::set_trace_label(const std::string& label) {
   resume_event_name_ = label + ".pfc_resume";
 }
 
-void Port::send(Packet p) {
+void Port::send(Packet&& p) {
   assert(connected() && "port must be connected before sending");
   if (flow_tracer_ != nullptr && p.flow_traced) {
     // Stamp admission time and the pause ledger; read back at dequeue to
@@ -75,7 +75,7 @@ void Port::send(Packet p) {
   }
 }
 
-void Port::send_control(Packet p) {
+void Port::send_control(Packet&& p) {
   assert(connected() && "port must be connected before sending");
   assert(p.is_ctrl());
   if (auto* a = INCAST_AUDITOR(sim_)) a->on_control_injected(p.size_bytes);
@@ -133,41 +133,45 @@ std::int64_t Port::paused_ns() const noexcept {
 
 void Port::maybe_transmit() {
   if (busy_) return;
-  std::optional<Packet> next;
+  // Packets on the wire live in the port's pool; the next packet moves
+  // straight from its queue into the slot and the events carry only the
+  // handle.
+  Packet* p;
   if (ctrl_head_ < ctrl_fifo_.size()) {
     // Control frames preempt data and ignore the pause state.
-    next = std::move(ctrl_fifo_[ctrl_head_]);
+    p = pool_.acquire();
+    *p = std::move(ctrl_fifo_[ctrl_head_]);
     ++ctrl_head_;
     if (ctrl_head_ == ctrl_fifo_.size()) {
       ctrl_fifo_.clear();
       ctrl_head_ = 0;
     }
   } else {
-    if (paused_) return;
-    next = queue_->dequeue();
-    if (!next.has_value()) return;
+    if (paused_ || queue_->empty()) return;
+    p = pool_.acquire();
+    (void)queue_->dequeue(*p);
 
     if (auto* a = INCAST_AUDITOR(sim_)) {
       a->record_depth("port.queue", queue_->packets(), queue_->bytes());
     }
 
-    if (dequeue_tap_ != nullptr) dequeue_tap_->on_dequeue(*next, sim_.now());
+    if (dequeue_tap_ != nullptr) dequeue_tap_->on_dequeue(*p, sim_.now());
 
-    if (flow_tracer_ != nullptr && next->trace_enqueue_ns >= 0) {
-      const std::int64_t wait = sim_.now().ns() - next->trace_enqueue_ns;
+    if (flow_tracer_ != nullptr && p->trace_enqueue_ns >= 0) {
+      const std::int64_t wait = sim_.now().ns() - p->trace_enqueue_ns;
       // Pause ledger delta = pause time overlapping this packet's residency
       // (an open pause at enqueue is included by paused_ns() on both reads).
-      std::int64_t pause = paused_ns() - next->trace_paused_ns;
+      std::int64_t pause = paused_ns() - p->trace_paused_ns;
       if (pause < 0) pause = 0;
       if (pause > wait) pause = wait;
-      flow_tracer_->on_hop(next->tcp.flow_id, trace_tier_, wait - pause, pause,
-                           bandwidth_.serialization_time(next->size_bytes).ns(),
+      flow_tracer_->on_hop(p->tcp.flow_id, trace_tier_, wait - pause, pause,
+                           bandwidth_.serialization_time(p->size_bytes).ns(),
                            propagation_delay_.ns());
-      next->trace_enqueue_ns = -1;  // consumed; next hop re-stamps
+      p->trace_enqueue_ns = -1;  // consumed; next hop re-stamps
     }
 
-    if (int_stamping_ && next->int_stack.enabled) {
-      if (!next->int_stack.push(IntHopRecord{
+    if (int_stamping_ && p->int_stack.enabled) {
+      if (!p->int_stack.push(IntHopRecord{
               .qlen_bytes = queue_->bytes(),
               .tx_bytes = queue_->stats().dequeued_bytes,
               .link_bps = bandwidth_.bps(),
@@ -179,12 +183,9 @@ void Port::maybe_transmit() {
   }
 
   busy_ = true;
-  const sim::Time serialization = bandwidth_.serialization_time(next->size_bytes);
   // Two-phase delivery: the transmitter frees up after serialization, then
-  // the packet arrives at the peer one propagation delay later. Packets on
-  // the wire live in the port's pool; the events carry only the handle.
-  Packet* p = pool_.acquire();
-  *p = std::move(*next);
+  // the packet arrives at the peer one propagation delay later.
+  const sim::Time serialization = bandwidth_.serialization_time(p->size_bytes);
 #if INCAST_AUDIT_ENABLED
   wire_bytes_ += p->size_bytes;
 #endif
@@ -237,8 +238,10 @@ void Port::deliver(Packet* p) {
 }
 
 void Port::arrive(Packet* p) {
-  // Move to the stack and release the slot first: receive() can re-enter
-  // this port (a switch forwarding back out, a host ACKing) and acquire it.
+  // Move to the stack and release the slot before delivering, so the slot
+  // is back on the free list whatever receive() goes on to do. (No
+  // synchronous path from receive() re-enters this port's pool: a switch
+  // forwards and a host ACKs through the peer node's own ports.)
   Packet delivered = std::move(*p);
   pool_.release(p);
 #if INCAST_AUDIT_ENABLED

@@ -96,14 +96,15 @@ class Port {
   [[nodiscard]] Node* peer() const noexcept { return peer_; }
 
   // Queues `p` for transmission, starting the transmitter if idle. The
-  // queue may ECN-mark, trim, or drop the packet.
-  void send(Packet p);
+  // queue may ECN-mark, trim, or drop the packet — in place, in the
+  // caller's object — so the caller reads nothing from `p` afterwards.
+  void send(Packet&& p);
 
   // Queues a MAC control frame (PFC pause/resume) for transmission on a
   // strict-priority path: control frames bypass the egress queue entirely
   // and are emitted even while the port itself is paused — otherwise a
   // congestion tree could never be torn down.
-  void send_control(Packet p);
+  void send_control(Packet&& p);
 
   // PFC pause of this port's data transmission. pause_for() (re)arms an
   // auto-expiry at now + duration — real PFC quanta time out, which is the
@@ -233,8 +234,10 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  // Delivers a packet that finished traversing a link into this node.
-  virtual void receive(Packet p, std::size_t in_port) = 0;
+  // Delivers a packet that finished traversing a link into this node. The
+  // node may forward, mark or consume `p`; the caller (Port::arrive) owns
+  // the storage and reads nothing from it afterwards.
+  virtual void receive(Packet&& p, std::size_t in_port) = 0;
 
   // Adds an egress port. Returns its index.
   std::size_t add_port(sim::Bandwidth bandwidth, sim::Time propagation_delay,

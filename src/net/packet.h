@@ -2,8 +2,12 @@
 //
 // One struct models the IP fields we need (ECN codepoint) plus a simplified
 // TCP header (sequence/ack numbers, flags, ECE/CWR echo bits). Packets are
-// plain values: they are moved through queues and links by value, never
-// shared, so there is no aliasing to reason about.
+// plain values, never shared. At 392 bytes they are too big to copy
+// freely, so the hot path hands them on by rvalue reference (Node::receive,
+// Port::send, DropTailQueue::enqueue, PacketHandler::handle_packet). The
+// ownership rule: a callee may mark, trim or consume the packet it is
+// handed, and the caller reads nothing from it afterwards — anything it
+// still needs (size, flow, VIQ tag) it reads into locals before the call.
 #ifndef INCAST_NET_PACKET_H_
 #define INCAST_NET_PACKET_H_
 

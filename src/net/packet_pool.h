@@ -1,7 +1,7 @@
 // PacketPool: free-listed Packet storage for in-flight packets.
 //
 // The delivery path schedules two events per hop (serialization done,
-// propagation done). Capturing the ~300-byte Packet inside those closures
+// propagation done). Capturing the 392-byte Packet inside those closures
 // would blow the kernel's inline-capture budget (sim/inline_function.h), so
 // a Port parks the packet in its pool and captures just the handle — the
 // "pool it, don't capture it" rule from docs/PERFORMANCE.md.

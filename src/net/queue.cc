@@ -1,6 +1,7 @@
 #include "net/queue.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace incast::net {
@@ -49,7 +50,7 @@ bool DropTailQueue::should_mark(const Packet& p, std::int64_t occupancy_packets)
   return config_.ecn_threshold_packets > 0 && occupancy_packets >= config_.ecn_threshold_packets;
 }
 
-bool DropTailQueue::enqueue(Packet p) {
+bool DropTailQueue::enqueue(Packet&& p) {
   // Check the per-queue caps before touching the pool so that a drop never
   // leaves memory reserved.
   if (count_ >= config_.capacity_packets ||
@@ -73,18 +74,18 @@ bool DropTailQueue::enqueue(Packet p) {
   return true;
 }
 
-std::optional<Packet> DropTailQueue::dequeue() {
-  if (empty()) return std::nullopt;
-  Packet p = ring_.pop();
+bool DropTailQueue::dequeue(Packet& out) {
+  if (empty()) return false;
+  ring_.pop_into(out);
   --count_;
-  bytes_ -= p.size_bytes;
-  if (pool_ != nullptr) pool_->release(p.size_bytes);
+  bytes_ -= out.size_bytes;
+  if (pool_ != nullptr) pool_->release(out.size_bytes);
   ++stats_.dequeued_packets;
-  stats_.dequeued_bytes += p.size_bytes;
-  return p;
+  stats_.dequeued_bytes += out.size_bytes;
+  return true;
 }
 
-bool CompositeQueue::enqueue(Packet p) {
+bool CompositeQueue::enqueue(Packet&& p) {
   const std::int64_t original_bytes = p.size_bytes;
 
   // Header-only traffic (ACKs, NACKs, headers trimmed upstream) rides the
@@ -146,20 +147,20 @@ bool CompositeQueue::enqueue_header(Packet&& p) {
   return true;
 }
 
-std::optional<Packet> CompositeQueue::dequeue() {
+bool CompositeQueue::dequeue(Packet& out) {
   const bool from_header = !header_ring_.empty();
   Ring& src = from_header ? header_ring_ : ring_;
-  if (src.empty()) return std::nullopt;
-  Packet p = src.pop();
+  if (src.empty()) return false;
+  src.pop_into(out);
   --count_;
-  bytes_ -= p.size_bytes;
+  bytes_ -= out.size_bytes;
   if (!from_header) {
-    data_bytes_ -= p.size_bytes;
-    if (pool_ != nullptr) pool_->release(p.size_bytes);
+    data_bytes_ -= out.size_bytes;
+    if (pool_ != nullptr) pool_->release(out.size_bytes);
   }
   ++stats_.dequeued_packets;
-  stats_.dequeued_bytes += p.size_bytes;
-  return p;
+  stats_.dequeued_bytes += out.size_bytes;
+  return true;
 }
 
 std::unique_ptr<DropTailQueue> make_queue(const DropTailQueue::Config& config) {
@@ -173,24 +174,27 @@ void DropTailQueue::Ring::push(Packet&& p) {
   if (count == slots.size()) {
     // Grow by doubling, unwrapping head..tail into the new storage so the
     // occupied region is contiguous from index 0 again.
-    std::vector<Packet> bigger;
-    bigger.reserve(slots.empty() ? 16 : slots.size() * 2);
-    for (std::size_t i = 0; i < count; ++i) {
-      bigger.push_back(std::move(slots[(head + i) % slots.size()]));
+    const std::size_t capacity = slots.empty() ? 16 : slots.size() * 2;
+    // The mask indexing below is only correct for power-of-two sizes; a
+    // check that survives NDEBUG, since a wrong mask corrupts silently.
+    if ((capacity & (capacity - 1)) != 0) {
+      throw std::logic_error("DropTailQueue ring capacity must be a power of two");
     }
-    bigger.resize(bigger.capacity());
+    std::vector<Packet> bigger(capacity);
+    for (std::size_t i = 0; i < count; ++i) {
+      bigger[i] = std::move(slots[(head + i) & (slots.size() - 1)]);
+    }
     slots = std::move(bigger);
     head = 0;
   }
-  slots[(head + count) % slots.size()] = std::move(p);
+  slots[(head + count) & (slots.size() - 1)] = std::move(p);
   ++count;
 }
 
-Packet DropTailQueue::Ring::pop() {
-  Packet p = std::move(slots[head]);
-  head = (head + 1) % slots.size();
+void DropTailQueue::Ring::pop_into(Packet& out) noexcept {
+  out = std::move(slots[head]);
+  head = (head + 1) & (slots.size() - 1);
   --count;
-  return p;
 }
 
 }  // namespace incast::net

@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/packet.h"
@@ -92,11 +91,15 @@ class DropTailQueue {
   // Admits `p` (marking it CE if the queue is past the ECN threshold) or
   // drops it. Returns true if the packet was enqueued — for a trimming
   // queue that includes the trimmed-to-header case (the stats tell the
-  // difference).
-  virtual bool enqueue(Packet p);
+  // difference). The queue marks and trims `p` in place and moves it into
+  // its ring; the caller reads nothing from `p` afterwards.
+  virtual bool enqueue(Packet&& p);
 
-  // Removes the head-of-line packet; nullopt if empty.
-  virtual std::optional<Packet> dequeue();
+  // Moves the head-of-line packet into `out` and returns true; returns
+  // false, leaving `out` untouched, if the queue is empty. Writing straight
+  // into caller storage (a Port's wire-pool slot) saves the temporary a
+  // by-value return would cost on every dequeue.
+  virtual bool dequeue(Packet& out);
 
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] std::int64_t packets() const noexcept { return count_; }
@@ -115,9 +118,10 @@ class DropTailQueue {
   }
 
  protected:
-  // FIFO storage as a power-of-two-free circular buffer over a plain
-  // vector: a deque's block churn costs an allocation per enqueue at
-  // Packet granularity, which the allocation-free kernel cannot afford.
+  // FIFO storage as a circular buffer over a plain vector: a deque's block
+  // churn costs an allocation per enqueue at Packet granularity, which the
+  // allocation-free kernel cannot afford. The capacity is always a power
+  // of two (16, then doubling), so indices wrap with a mask, not a divide.
   struct Ring {
     std::vector<Packet> slots;
     std::size_t head{0};
@@ -127,8 +131,8 @@ class DropTailQueue {
     // Appends, growing (rare; amortized away once the queue has seen its
     // peak depth) when full.
     void push(Packet&& p);
-    // Removes and returns the head. Precondition: !empty().
-    [[nodiscard]] Packet pop();
+    // Moves the head into `out` and removes it. Precondition: !empty().
+    void pop_into(Packet& out) noexcept;
   };
 
   // The configured marking rule's verdict for an ECT packet arriving at
@@ -165,8 +169,8 @@ class CompositeQueue final : public DropTailQueue {
  public:
   explicit CompositeQueue(const Config& config) noexcept : DropTailQueue{config} {}
 
-  bool enqueue(Packet p) override;
-  std::optional<Packet> dequeue() override;
+  bool enqueue(Packet&& p) override;
+  bool dequeue(Packet& out) override;
 
   [[nodiscard]] std::int64_t data_packets() const noexcept {
     return static_cast<std::int64_t>(ring_.count);

@@ -183,7 +183,7 @@ void Switch::on_dequeue(const Packet& p, sim::Time /*now*/) {
   if (p.viq >= 0) credit_viq(static_cast<std::size_t>(p.viq), p.size_bytes);
 }
 
-void Switch::receive(Packet p, std::size_t in_port) {
+void Switch::receive(Packet&& p, std::size_t in_port) {
   if (p.is_ctrl()) [[unlikely]] {
     // MAC control frames are consumed by the immediate neighbor — us.
     if (auto* a = INCAST_AUDITOR(sim_)) a->on_control_consumed(p.size_bytes);

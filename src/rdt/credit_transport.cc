@@ -75,7 +75,7 @@ void CreditSender::arm_rts_retry() {
                                 sim::EventCategory::kTcp);
 }
 
-void CreditSender::handle_packet(net::Packet p) {
+void CreditSender::handle_packet(net::Packet&& p) {
   if (p.rdt.type != net::RdtType::kGrant) return;
 
   // Each grant releases exactly one segment, immediately.
@@ -119,7 +119,7 @@ std::int64_t CreditReceiver::received_bytes(net::FlowId flow) const {
   return it == flows_.end() ? 0 : it->second.received_bytes;
 }
 
-void CreditReceiver::on_packet(net::FlowId flow, net::Packet p) {
+void CreditReceiver::on_packet(net::FlowId flow, const net::Packet& p) {
   const auto it = flows_.find(flow);
   if (it == flows_.end()) return;
   switch (p.rdt.type) {

@@ -16,7 +16,7 @@ TcpReceiver::~TcpReceiver() {
   sim_.cancel(ack_timer_);
 }
 
-void TcpReceiver::handle_packet(net::Packet p) {
+void TcpReceiver::handle_packet(net::Packet&& p) {
   if (p.trimmed) [[unlikely]] {
     // A trimming queue cut this segment's payload and forwarded just the
     // header. The header names exactly what was lost, so NACK it back and

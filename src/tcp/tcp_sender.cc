@@ -121,7 +121,7 @@ std::int64_t TcpSender::effective_cwnd() const noexcept {
   return cwnd;
 }
 
-void TcpSender::handle_packet(net::Packet p) {
+void TcpSender::handle_packet(net::Packet&& p) {
   if (ft_ != nullptr) {
     ft_unblock(p.tcp.nack ? obs::FlowTracer::UnblockCause::kNack
                           : obs::FlowTracer::UnblockCause::kAck);

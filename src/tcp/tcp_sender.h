@@ -59,7 +59,7 @@ class TcpSender final : public net::PacketHandler {
   void add_app_data(std::int64_t bytes);
 
   // ACKs for this flow arrive here.
-  void handle_packet(net::Packet p) override;
+  void handle_packet(net::Packet&& p) override;
 
   // --- Observability -------------------------------------------------------
 

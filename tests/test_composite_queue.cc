@@ -48,22 +48,23 @@ TEST(CompositeQueue, HeadersDequeueBeforeQueuedData) {
   EXPECT_TRUE(q.enqueue(data_packet(2920)));  // trimmed
 
   // Strict priority: the header queued last comes out first.
-  auto first = q.dequeue();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_TRUE(first->trimmed);
-  EXPECT_EQ(first->size_bytes, 64);
-  EXPECT_EQ(first->payload_bytes, 0);
-  EXPECT_EQ(first->tcp.seq, 2920);
+  Packet first;
+  ASSERT_TRUE(q.dequeue(first));
+  EXPECT_TRUE(first.trimmed);
+  EXPECT_EQ(first.size_bytes, 64);
+  EXPECT_EQ(first.payload_bytes, 0);
+  EXPECT_EQ(first.tcp.seq, 2920);
 
   // Then the data ring drains in FIFO order.
-  auto second = q.dequeue();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_FALSE(second->trimmed);
-  EXPECT_EQ(second->tcp.seq, 0);
-  auto third = q.dequeue();
-  ASSERT_TRUE(third.has_value());
-  EXPECT_EQ(third->tcp.seq, 1460);
-  EXPECT_FALSE(q.dequeue().has_value());
+  Packet second;
+  ASSERT_TRUE(q.dequeue(second));
+  EXPECT_FALSE(second.trimmed);
+  EXPECT_EQ(second.tcp.seq, 0);
+  Packet third;
+  ASSERT_TRUE(q.dequeue(third));
+  EXPECT_EQ(third.tcp.seq, 1460);
+  Packet none;
+  EXPECT_FALSE(q.dequeue(none));
 }
 
 TEST(CompositeQueue, TrimmedEctPacketIsCeMarked) {
@@ -72,11 +73,11 @@ TEST(CompositeQueue, TrimmedEctPacketIsCeMarked) {
   Packet ect = data_packet(1460);
   ect.ecn = Ecn::kEct0;
   EXPECT_TRUE(q.enqueue(std::move(ect)));
-  auto header = q.dequeue();
-  ASSERT_TRUE(header.has_value());
-  EXPECT_TRUE(header->trimmed);
+  Packet header;
+  ASSERT_TRUE(q.dequeue(header));
+  EXPECT_TRUE(header.trimmed);
   // Trimming is itself a congestion signal; ECT headers carry it as CE.
-  EXPECT_EQ(header->ecn, Ecn::kCe);
+  EXPECT_EQ(header.ecn, Ecn::kCe);
 }
 
 TEST(CompositeQueue, TrimmedNonEctPacketStaysUnmarked) {
@@ -86,10 +87,10 @@ TEST(CompositeQueue, TrimmedNonEctPacketStaysUnmarked) {
   Packet not_ect = data_packet(1460);
   not_ect.ecn = Ecn::kNotEct;
   EXPECT_TRUE(q.enqueue(std::move(not_ect)));
-  auto header = q.dequeue();
-  ASSERT_TRUE(header.has_value());
-  EXPECT_TRUE(header->trimmed);
-  EXPECT_EQ(header->ecn, Ecn::kNotEct);
+  Packet header;
+  ASSERT_TRUE(q.dequeue(header));
+  EXPECT_TRUE(header.trimmed);
+  EXPECT_EQ(header.ecn, Ecn::kNotEct);
 }
 
 TEST(CompositeQueue, HeaderOnlyTrafficRidesThePriorityQueue) {
@@ -100,9 +101,9 @@ TEST(CompositeQueue, HeaderOnlyTrafficRidesThePriorityQueue) {
   EXPECT_TRUE(q.enqueue(make_ack_packet(2, 1, 1, 1460, false)));
   EXPECT_EQ(q.data_packets(), 1);
   EXPECT_EQ(q.header_packets(), 1);
-  auto first = q.dequeue();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_FALSE(first->is_data());
+  Packet first;
+  ASSERT_TRUE(q.dequeue(first));
+  EXPECT_FALSE(first.is_data());
 }
 
 TEST(CompositeQueue, HeaderQueueOverflowIsARealDrop) {

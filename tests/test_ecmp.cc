@@ -110,7 +110,7 @@ TEST(Ecmp, RoutePortMatchesActualForwarding) {
 
   class Sink final : public net::PacketHandler {
    public:
-    void handle_packet(net::Packet) override {}
+    void handle_packet(net::Packet&&) override {}
   };
   Sink sink;
   const int dst = ft.num_hosts() - 1;

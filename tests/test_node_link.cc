@@ -19,7 +19,7 @@ class SinkNode final : public Node {
  public:
   using Node::Node;
 
-  void receive(Packet p, std::size_t in_port) override {
+  void receive(Packet&& p, std::size_t in_port) override {
     arrivals.push_back({sim_.now(), std::move(p), in_port});
   }
 
@@ -34,7 +34,7 @@ class SinkNode final : public Node {
 class SourceNode final : public Node {
  public:
   using Node::Node;
-  void receive(Packet, std::size_t) override {}
+  void receive(Packet&&, std::size_t) override {}
 };
 
 struct LinkFixture {

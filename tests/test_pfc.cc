@@ -1,14 +1,18 @@
 // PFC lossless-Ethernet tests: LosslessInputQueue XOFF/XON hysteresis and
 // headroom accounting, Port pause auto-expiry (the deadlock watchdog), the
-// strict-priority control-frame path, and an end-to-end run where resume
-// frames are lost on the wire yet the fabric never deadlocks.
+// strict-priority control-frame path, the switch's VIQ unwind when its
+// egress trims or drops, and an end-to-end run where resume frames are lost
+// on the wire yet the fabric never deadlocks.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "net/host.h"
 #include "net/node.h"
 #include "net/pfc.h"
+#include "net/switch.h"
 #include "net/topology.h"
 #include "tcp/tcp_connection.h"
 
@@ -100,7 +104,7 @@ TEST(PfcViq, HeadroomOverflowDropsWithoutCharging) {
 class SinkNode final : public Node {
  public:
   using Node::Node;
-  void receive(Packet p, std::size_t) override {
+  void receive(Packet&& p, std::size_t) override {
     arrivals.push_back({sim_.now(), std::move(p)});
   }
   struct Arrival {
@@ -113,7 +117,7 @@ class SinkNode final : public Node {
 class SourceNode final : public Node {
  public:
   using Node::Node;
-  void receive(Packet, std::size_t) override {}
+  void receive(Packet&&, std::size_t) override {}
 };
 
 struct PauseFixture {
@@ -182,6 +186,113 @@ TEST(PfcPort, ControlFramesBypassAPausedPort) {
   f.sim.run();
   ASSERT_EQ(f.dst.arrivals.size(), 2u);
   EXPECT_TRUE(f.dst.arrivals[1].packet.is_data());
+}
+
+// ---------------------------------------------------------------------------
+// VIQ unwind at the switch. A packet charged to its ingress VIQ is credited
+// back when it leaves the egress queue — or, when the egress drops or trims
+// it on the way in, by Switch::receive right after the send. The egress
+// queue marks, trims and consumes the switch's own packet object, so that
+// unwind must work from values read before the hand-off; a leak here leaves
+// the VIQ above XON forever and the upstream pause never lifts.
+
+// Three line-rate sources into one PFC switch whose single egress toward
+// the sink is `egress_queue`. The sources ignore pause frames, so the
+// egress, not PFC, has to absorb the 3x overload — by trimming or dropping.
+struct LosslessFanIn {
+  static constexpr int kSources = 3;
+  Simulator sim;
+  std::vector<std::unique_ptr<SourceNode>> sources;
+  Switch sw{sim, 100, "sw"};
+  SinkNode sink{sim, 200, "sink"};
+  std::size_t egress{0};
+
+  explicit LosslessFanIn(const DropTailQueue::Config& egress_queue) {
+    const auto bw = sim::Bandwidth::gigabits_per_second(10);
+    const DropTailQueue::Config roomy{.capacity_packets = 1000, .ecn_threshold_packets = 0};
+    for (int i = 0; i < kSources; ++i) {
+      sources.push_back(std::make_unique<SourceNode>(sim, static_cast<NodeId>(i),
+                                                     "src" + std::to_string(i)));
+      sources.back()->add_port(bw, 1_us, roomy);
+      const std::size_t in = sw.add_port(bw, 1_us, roomy);
+      connect_duplex(*sources.back(), 0, sw, in);
+    }
+    egress = sw.add_port(bw, 1_us, egress_queue);
+    sink.add_port(bw, 1_us, roomy);
+    connect_duplex(sw, egress, sink, 0);
+    sw.set_route(sink.id(), egress);
+    // Headroom far beyond the burst: every arrival is charged (no overflow
+    // drops), and the VIQs cross XOFF so pause and resume both fire.
+    LosslessInputQueue::Config pfc;
+    pfc.xoff_bytes = 3'000;
+    pfc.xon_bytes = 1'500;
+    pfc.headroom_bytes = 10'000'000;
+    sw.enable_pfc(pfc);
+  }
+
+  // Queues `per_source` MTU data packets at every source at t = 0.
+  void blast(int per_source) {
+    for (int i = 0; i < kSources; ++i) {
+      for (int k = 0; k < per_source; ++k) {
+        sources[static_cast<std::size_t>(i)]->port(0).send(make_data_packet(
+            static_cast<NodeId>(i), sink.id(), static_cast<FlowId>(i + 1), k * 1460, 1460));
+      }
+    }
+  }
+
+  void expect_viqs_drained() const {
+    ASSERT_EQ(sw.num_viqs(), sw.num_ports());
+    for (std::size_t i = 0; i < sw.num_viqs(); ++i) {
+      EXPECT_EQ(sw.viq(i)->bytes(), 0) << "viq " << i;
+      EXPECT_FALSE(sw.viq(i)->paused_upstream()) << "viq " << i;
+      EXPECT_EQ(sw.viq(i)->stats().overflow_dropped_packets, 0) << "viq " << i;
+    }
+    for (int i = 0; i < kSources; ++i) {
+      const LosslessInputQueue& viq = *sw.viq(static_cast<std::size_t>(i));
+      EXPECT_GT(viq.stats().pause_frames, 0) << "source " << i;
+      EXPECT_GT(viq.stats().resume_frames, 0) << "source " << i;
+    }
+  }
+};
+
+TEST(PfcSwitch, TrimmingEgressUnwindsEveryViqCharge) {
+  LosslessFanIn f{DropTailQueue::Config{.capacity_packets = 4,
+                                        .ecn_threshold_packets = 0,
+                                        .discipline = QueueDiscipline::kTrimming}};
+  constexpr int kPerSource = 20;
+  f.blast(kPerSource);
+  f.sim.run();
+
+  const DropTailQueue::Stats& out = f.sw.port(f.egress).queue().stats();
+  EXPECT_GT(out.trimmed_packets, 0);
+  EXPECT_EQ(out.dropped_packets, 0);
+  // Every packet reached the sink, trimmed ones as 64 B headers.
+  ASSERT_EQ(f.sink.arrivals.size(),
+            static_cast<std::size_t>(LosslessFanIn::kSources * kPerSource));
+  std::int64_t trimmed = 0;
+  for (const auto& a : f.sink.arrivals) {
+    if (a.packet.trimmed) {
+      ++trimmed;
+      EXPECT_EQ(a.packet.size_bytes, 64);
+    } else {
+      EXPECT_EQ(a.packet.size_bytes, 1500);
+    }
+  }
+  EXPECT_EQ(trimmed, out.trimmed_packets);
+  f.expect_viqs_drained();
+}
+
+TEST(PfcSwitch, DroppingEgressUnwindsEveryViqCharge) {
+  LosslessFanIn f{DropTailQueue::Config{.capacity_packets = 4, .ecn_threshold_packets = 0}};
+  constexpr int kPerSource = 20;
+  f.blast(kPerSource);
+  f.sim.run();
+
+  const DropTailQueue::Stats& out = f.sw.port(f.egress).queue().stats();
+  EXPECT_GT(out.dropped_packets, 0);
+  EXPECT_EQ(f.sink.arrivals.size() + static_cast<std::size_t>(out.dropped_packets),
+            static_cast<std::size_t>(LosslessFanIn::kSources * kPerSource));
+  f.expect_viqs_drained();
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ using namespace incast::sim::literals;
 
 class Sink final : public net::PacketHandler {
  public:
-  void handle_packet(net::Packet p) override { packets.push_back(std::move(p)); }
+  void handle_packet(net::Packet&& p) override { packets.push_back(std::move(p)); }
   std::vector<net::Packet> packets;
 };
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace incast::net {
 namespace {
 
@@ -11,12 +13,14 @@ Packet data_packet(std::int64_t seq = 0) { return make_data_packet(1, 2, 1, seq,
 TEST(DropTailQueue, FifoOrder) {
   DropTailQueue q{{.capacity_packets = 10, .ecn_threshold_packets = 0}};
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.enqueue(data_packet(i * 1460)));
+  Packet out;
   for (int i = 0; i < 3; ++i) {
-    const auto p = q.dequeue();
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(p->tcp.seq, i * 1460);
+    ASSERT_TRUE(q.dequeue(out));
+    EXPECT_EQ(out.tcp.seq, i * 1460);
   }
-  EXPECT_FALSE(q.dequeue().has_value());
+  EXPECT_FALSE(q.dequeue(out));
+  // An empty dequeue leaves the caller's storage untouched.
+  EXPECT_EQ(out.tcp.seq, 2 * 1460);
 }
 
 TEST(DropTailQueue, TailDropAtCapacity) {
@@ -33,7 +37,8 @@ TEST(DropTailQueue, DropFreesSlotAfterDequeue) {
   DropTailQueue q{{.capacity_packets = 1, .ecn_threshold_packets = 0}};
   EXPECT_TRUE(q.enqueue(data_packet()));
   EXPECT_FALSE(q.enqueue(data_packet()));
-  (void)q.dequeue();
+  Packet out;
+  EXPECT_TRUE(q.dequeue(out));
   EXPECT_TRUE(q.enqueue(data_packet()));
 }
 
@@ -45,10 +50,13 @@ TEST(DropTailQueue, EcnMarksWhenOccupancyAtThreshold) {
   }
   // Packet 4 arrives with occupancy 3 >= K -> marked CE.
   EXPECT_TRUE(q.enqueue(data_packet()));
+  Packet out;
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(q.dequeue()->ecn, Ecn::kEct0);
+    ASSERT_TRUE(q.dequeue(out));
+    EXPECT_EQ(out.ecn, Ecn::kEct0);
   }
-  EXPECT_EQ(q.dequeue()->ecn, Ecn::kCe);
+  ASSERT_TRUE(q.dequeue(out));
+  EXPECT_EQ(out.ecn, Ecn::kCe);
   EXPECT_EQ(q.stats().ecn_marked_packets, 1);
 }
 
@@ -56,16 +64,19 @@ TEST(DropTailQueue, EcnDisabledNeverMarks) {
   DropTailQueue q{{.capacity_packets = 100, .ecn_threshold_packets = 0}};
   for (int i = 0; i < 50; ++i) EXPECT_TRUE(q.enqueue(data_packet()));
   EXPECT_EQ(q.stats().ecn_marked_packets, 0);
-  while (auto p = q.dequeue()) EXPECT_NE(p->ecn, Ecn::kCe);
+  Packet out;
+  while (q.dequeue(out)) EXPECT_NE(out.ecn, Ecn::kCe);
 }
 
 TEST(DropTailQueue, NonEctPacketsAreNotMarked) {
   DropTailQueue q{{.capacity_packets = 100, .ecn_threshold_packets = 1}};
   EXPECT_TRUE(q.enqueue(data_packet()));
   Packet ack = make_ack_packet(1, 2, 1, 0, false);
-  EXPECT_TRUE(q.enqueue(ack));  // occupancy 1 >= K but NotEct
-  (void)q.dequeue();
-  EXPECT_EQ(q.dequeue()->ecn, Ecn::kNotEct);
+  EXPECT_TRUE(q.enqueue(std::move(ack)));  // occupancy 1 >= K but NotEct
+  Packet out;
+  ASSERT_TRUE(q.dequeue(out));
+  ASSERT_TRUE(q.dequeue(out));
+  EXPECT_EQ(out.ecn, Ecn::kNotEct);
   EXPECT_EQ(q.stats().ecn_marked_packets, 0);
 }
 
@@ -76,14 +87,16 @@ TEST(DropTailQueue, BytesTracked) {
   EXPECT_EQ(q.bytes(), 1500);
   EXPECT_TRUE(q.enqueue(make_ack_packet(1, 2, 1, 0, false)));
   EXPECT_EQ(q.bytes(), 1540);
-  (void)q.dequeue();
+  Packet out;
+  ASSERT_TRUE(q.dequeue(out));
   EXPECT_EQ(q.bytes(), 40);
 }
 
 TEST(DropTailQueue, WatermarkTracksPeakSinceLastRead) {
   DropTailQueue q{{.capacity_packets = 10, .ecn_threshold_packets = 0}};
   for (int i = 0; i < 5; ++i) (void)q.enqueue(data_packet());
-  for (int i = 0; i < 4; ++i) (void)q.dequeue();
+  Packet out;
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.dequeue(out));
   EXPECT_EQ(q.peak_packets(), 5);
   EXPECT_EQ(q.take_watermark(), 5);
   // After reading, the watermark restarts from the current occupancy (1).
@@ -97,7 +110,8 @@ TEST(DropTailQueue, StatsCountEnqueuesAndDequeues) {
   (void)q.enqueue(data_packet());
   (void)q.enqueue(data_packet());
   (void)q.enqueue(data_packet());  // dropped
-  (void)q.dequeue();
+  Packet out;
+  ASSERT_TRUE(q.dequeue(out));
   EXPECT_EQ(q.stats().enqueued_packets, 2);
   EXPECT_EQ(q.stats().dropped_packets, 1);
   EXPECT_EQ(q.stats().dequeued_packets, 1);

@@ -36,7 +36,10 @@ TEST(QueueMonitor, SamplesReflectOccupancy) {
     (void)q.enqueue(pkt());
     (void)q.enqueue(pkt());
   });
-  sim.schedule_at(35_us, [&] { (void)q.dequeue(); });
+  sim.schedule_at(35_us, [&] {
+    net::Packet out;
+    (void)q.dequeue(out);
+  });
   sim.run();
 
   EXPECT_EQ(mon.samples()[1].packets, 0);  // t=10us
@@ -55,7 +58,8 @@ TEST(QueueMonitor, WatermarksCapturePeakWithinWindow) {
     for (int i = 0; i < 5; ++i) (void)q.enqueue(pkt());
   });
   sim.schedule_at(400_us, [&] {
-    while (q.dequeue().has_value()) {
+    net::Packet out;
+    while (q.dequeue(out)) {
     }
   });
   // Window 2: a smaller spike that persists.

@@ -91,7 +91,8 @@ TEST(SharedBufferPool, QueueIntegrationDropsWhenPoolRejects) {
   EXPECT_EQ(pool.used_bytes(), 2 * 1500);
 
   // Dequeue releases the pool memory.
-  while (q.dequeue().has_value()) {
+  Packet out;
+  while (q.dequeue(out)) {
   }
   EXPECT_EQ(pool.used_bytes(), 0);
 }

@@ -17,7 +17,7 @@ constexpr DropTailQueue::Config kQ{.capacity_packets = 100, .ecn_threshold_packe
 
 class RecordingHandler final : public PacketHandler {
  public:
-  void handle_packet(Packet p) override { packets.push_back(std::move(p)); }
+  void handle_packet(Packet&& p) override { packets.push_back(std::move(p)); }
   std::vector<Packet> packets;
 };
 

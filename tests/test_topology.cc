@@ -16,7 +16,7 @@ using namespace incast::sim::literals;
 
 class RecordingHandler final : public PacketHandler {
  public:
-  void handle_packet(Packet p) override { packets.push_back(std::move(p)); }
+  void handle_packet(Packet&& p) override { packets.push_back(std::move(p)); }
   std::vector<Packet> packets;
 };
 
@@ -80,7 +80,7 @@ TEST(Dumbbell, MeasuredRttMatchesComputedBaseRtt) {
   class Echo final : public PacketHandler {
    public:
     Echo(Host& host, NodeId peer) : host_{host}, peer_{peer} {}
-    void handle_packet(Packet p) override {
+    void handle_packet(Packet&& p) override {
       host_.send(make_ack_packet(host_.id(), peer_, p.tcp.flow_id, 0, false));
     }
 
@@ -91,7 +91,7 @@ TEST(Dumbbell, MeasuredRttMatchesComputedBaseRtt) {
   class Timer final : public PacketHandler {
    public:
     explicit Timer(Simulator& sim) : sim_{sim} {}
-    void handle_packet(Packet) override { at = sim_.now(); }
+    void handle_packet(Packet&&) override { at = sim_.now(); }
     Time at{};
 
    private:
