@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/experiment_sweep.h"
 #include "core/fleet_experiment.h"
 #include "core/incast_experiment.h"
 #include "sim/random.h"
@@ -179,37 +180,24 @@ std::uint64_t chaos_run_seed(const ChaosConfig& config, std::size_t index) noexc
 }
 
 ChaosReport run_chaos(const ChaosConfig& config) {
-  ChaosReport report;
-  sim::SweepRunner runner{config.jobs};
   sim::SweepRunner::Policy policy;
   policy.fail_fast = false;  // collect every broken config, never abort the fuzz
   policy.max_attempts = 1;   // a violation is deterministic; retrying hides nothing
   policy.cancel = config.cancel;
-  policy.seed_of = [&config](std::size_t index) { return chaos_run_seed(config, index); };
   policy.on_failure = config.on_failure;
-  runner.set_policy(std::move(policy));
 
-  report.runs = runner.run<ChaosRunResult>(
-      static_cast<std::size_t>(config.num_configs),
-      [&config](std::size_t index, sim::SweepRunner::TaskStats& stats) {
-        if (config.resume) {
-          ChaosRunResult cached;
-          if (config.resume(index, cached)) {
-            stats.events = cached.events_processed;
-            return cached;
-          }
-        }
-        const std::uint64_t seed = chaos_run_seed(config, index);
+  ChaosReport report;
+  report.runs = run_sweep<ChaosRunResult>(
+      static_cast<std::size_t>(config.num_configs), config.jobs, std::move(policy),
+      [&config](std::size_t index) { return chaos_run_seed(config, index); }, config.resume,
+      config.on_result,
+      [&config](std::size_t, std::uint64_t seed) {
         // Kind mix: plain bursts, faulty bursts, fleet traces (1:2:1).
         sim::Rng kind_rng{seed};
         const std::int64_t kind = kind_rng.uniform_int(0, 3);
-        ChaosRunResult result = kind == 3 ? chaos_fleet(config, seed)
-                                          : chaos_burst(config, seed, kind >= 1);
-        stats.events = result.events_processed;
-        if (config.on_result) config.on_result(index, seed, result);
-        return result;
-      });
-  report.sweep = runner.last_run();
+        return kind == 3 ? chaos_fleet(config, seed) : chaos_burst(config, seed, kind >= 1);
+      },
+      report.sweep);
   return report;
 }
 

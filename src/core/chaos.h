@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment_sweep.h"
 #include "sim/sweep.h"
 
 namespace incast::core {
@@ -26,6 +27,13 @@ struct ChaosRunResult {
   std::uint64_t seed{0};
   std::uint64_t events_processed{0};
 };
+
+// A run reports only its event count to the sweep (see run_sweep).
+[[nodiscard]] inline RunCounters run_counters(const ChaosRunResult& run) noexcept {
+  RunCounters counters;
+  counters.events_processed = run.events_processed;
+  return counters;
+}
 
 struct ChaosConfig {
   std::uint64_t seed{7};
@@ -39,10 +47,9 @@ struct ChaosConfig {
   double max_wall_ms_per_run{0.0};
   std::atomic<bool>* cancel{nullptr};
 
-  // Checkpoint/resume hooks, same shape as the other experiments.
-  std::function<bool(std::size_t index, ChaosRunResult& out)> resume{};
-  std::function<void(std::size_t index, std::uint64_t seed, const ChaosRunResult&)>
-      on_result{};
+  // Checkpoint/resume hooks (see core/experiment_sweep.h).
+  ResumeHook<ChaosRunResult> resume;
+  ResultHook<ChaosRunResult> on_result;
   std::function<void(const sim::TaskFailure&)> on_failure{};
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <optional>
 
 #include "core/experiment_obs.h"
 #include "obs/hub.h"
@@ -82,16 +81,19 @@ struct CreditFinishPoller {
   }
 };
 
+// Fills the point's incast BCT aggregates; returns every burst's BCT (ms).
 template <typename Records>
-void burst_aggregates(const Records& records, CollateralPoint& point) {
-  if (records.empty()) return;
+std::vector<double> burst_aggregates(const Records& records, CollateralPoint& point) {
+  std::vector<double> bct_ms;
   double total = 0.0;
   for (const auto& b : records) {
     const double bct = b.completion_time().ms();
+    bct_ms.push_back(bct);
     total += bct;
     point.incast_max_bct_ms = std::max(point.incast_max_bct_ms, bct);
   }
-  point.incast_avg_bct_ms = total / static_cast<double>(records.size());
+  if (!records.empty()) point.incast_avg_bct_ms = total / static_cast<double>(records.size());
+  return bct_ms;
 }
 
 void collect_fabric_counters(net::Dumbbell& dumbbell, CollateralPoint& point) {
@@ -150,26 +152,9 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
   point.degree = degree;
 
   sim::Simulator sim;
-  if (hub != nullptr) sim.set_hub(hub);
-
-#if INCAST_AUDIT_ENABLED
-  std::optional<sim::Auditor> auditor;
-  if (config.audit_mode != sim::AuditMode::kOff) {
-    sim::Auditor::Config acfg = config.audit;
-    acfg.strict = config.audit_mode == sim::AuditMode::kStrict;
-    auditor.emplace(acfg);
-    sim.set_auditor(&*auditor);
-  }
-#endif
-  // Tail autopsy: attached before topology/sender construction. Seeded
-  // with the *base* config seed (not the per-point derived seed) so every
-  // grid point samples the same flow ids.
-  std::optional<obs::FlowTracer> flow_tracer;
-  if (config.flow_trace) {
-    flow_tracer.emplace(
-        obs::FlowTracer::Config{config.seed, config.flow_trace_sample_every}, hub);
-    sim.set_flow_tracer(&*flow_tracer);
-  }
+  // Flow sampling hashes the *base* seed (not this point's derived seed) so
+  // every grid point samples the same flow ids.
+  ExperimentObserver run{sim, config, hub};
   sim.reserve_events(static_cast<std::size_t>(degree) * 8 + 4096);
 
   net::Dumbbell dumbbell{sim, make_topology(config, mode, degree)};
@@ -225,18 +210,9 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
 
   // Experiment-scope observability: the incast bottleneck queue plus the
   // new lossless/trimming instrumentation (pause counters, trimmed bytes).
-  ExperimentObserver observer{INCAST_OBS_HUB(sim)};
-  const std::string bottleneck_link = "tor_r->" + dumbbell.receiver(0).name();
-  if (observer.active()) {
-    dumbbell.link(bottleneck_link).set_trace_label(bottleneck_link);
-    observer.watch_queue(bottleneck_link, dumbbell.bottleneck_queue(0));
-    observer.watch_simulator(sim);
-    observer.watch_pfc("tor_s", dumbbell.sender_tor());
-    observer.watch_pfc("tor_r", dumbbell.receiver_tor());
-#if INCAST_AUDIT_ENABLED
-    if (auditor) observer.watch_auditor(*auditor, sim);
-#endif
-  }
+  run.watch_bottleneck(dumbbell, "tor_r->" + dumbbell.receiver(0).name());
+  run.watch_pfc("tor_s", dumbbell.sender_tor());
+  run.watch_pfc("tor_r", dumbbell.receiver_tor());
 
   victim.sender().add_app_data(kVictimStreamBytes);
   if (credit_incast != nullptr) {
@@ -249,48 +225,8 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
 
   sim.run_until(config.max_sim_time);
 
-  net::check_no_unrouted(dumbbell.switches());
-#if INCAST_AUDIT_ENABLED
-  if (auditor) auditor->check_conservation(dumbbell.residual_buffered_bytes());
-#endif
-
-  // Tail autopsy teardown: finalize, conservation-check every breakdown,
-  // then keep only the percentile rows (the grid can trace many flows).
-  if (flow_tracer) {
-    const std::vector<obs::FlowBreakdown> breakdowns =
-        flow_tracer->finalize(sim.now().ns());
-    point.traced_flows = breakdowns.size();
-    point.flow_trace_incomplete = flow_tracer->incomplete_flows();
-#if INCAST_AUDIT_ENABLED
-    if (auditor) {
-      for (const obs::FlowBreakdown& f : breakdowns) {
-        auditor->check_flow_breakdown(f.flow, f.component_sum(), f.fct_ns);
-      }
-    }
-#endif
-    point.fct_rows = obs::tail_attribution(breakdowns);
-  }
-
-  // INT overflow teardown check (warn-only; see Port::int_hop_overflows).
-  for (const net::Switch* sw : dumbbell.switches()) {
-    point.int_hop_overflows += sw->int_hop_overflows();
-  }
-  for (int i = 0; i < dumbbell.num_senders(); ++i) {
-    point.int_hop_overflows += dumbbell.sender(i).int_hop_overflows();
-  }
-  for (int i = 0; i < dumbbell.num_receivers(); ++i) {
-    point.int_hop_overflows += dumbbell.receiver(i).int_hop_overflows();
-  }
-  if (point.int_hop_overflows > 0) {
-    std::fprintf(stderr,
-                 "warning: %lld INT hop records overflowed the %d-entry stack "
-                 "(net.int.hop_overflow); telemetry CCAs saw truncated paths\n",
-                 static_cast<long long>(point.int_hop_overflows), net::kMaxIntHops);
-  }
-
-#if INCAST_AUDIT_ENABLED
-  if (auditor) point.audit_violations = auditor->total_violations();
-#endif
+  // The point keeps only the percentile rows: the grid can trace many flows.
+  run.teardown(dumbbell, dumbbell.switches(), point);
 
   const double elapsed_s = sim.now().sec();
   point.victim_delivered_bytes = victim.receiver().rcv_nxt();
@@ -304,8 +240,9 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
   point.victim_timeouts = victim.sender().stats().timeouts;
   point.victim_nacks = victim.receiver().stats().nacks_sent;
 
+  std::vector<double> bct_ms;
   if (tcp_incast != nullptr) {
-    burst_aggregates(tcp_incast->bursts(), point);
+    bct_ms = burst_aggregates(tcp_incast->bursts(), point);
     for (const tcp::TcpSender* s : tcp_incast->senders()) {
       point.incast_timeouts += s->stats().timeouts;
     }
@@ -313,65 +250,30 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
       point.incast_nacks += tcp_incast->connection(i).receiver().stats().nacks_sent;
     }
   } else {
-    burst_aggregates(credit_incast->bursts(), point);
+    bct_ms = burst_aggregates(credit_incast->bursts(), point);
   }
   collect_fabric_counters(dumbbell, point);
-  point.events_processed = sim.events_processed();
-  point.events_by_category = sim.events_by_category();
 
-  if (observer.active()) {
-    std::vector<double> bct_ms;
-    bct_ms.reserve(static_cast<std::size_t>(config.num_bursts));
-    if (tcp_incast != nullptr) {
-      for (const auto& b : tcp_incast->bursts()) bct_ms.push_back(b.completion_time().ms());
-    } else {
-      for (const auto& b : credit_incast->bursts()) {
-        bct_ms.push_back(b.completion_time().ms());
-      }
-    }
-    observer.finish(sim.now().ns(), bct_ms, nullptr);
-  }
+  run.finish(sim.now().ns(), bct_ms, nullptr);
 
   return point;
 }
 
 CollateralReport run_collateral_experiment(const CollateralConfig& config) {
-  const std::size_t n = config.modes.size() * config.degrees.size();
   CollateralReport report;
-
-  sim::SweepRunner runner{config.jobs};
-  sim::SweepRunner::Policy policy = config.sweep;
-  policy.seed_of = [&config](std::size_t index) {
-    return sim::derive_task_seed(config.seed, index);
-  };
-  runner.set_policy(std::move(policy));
-
-  report.points = runner.run<CollateralPoint>(n, [&config](std::size_t index,
-                                                           sim::SweepRunner::TaskStats&
-                                                               stats) {
-    const QueueMode mode = config.modes[index / config.degrees.size()];
-    const int degree = config.degrees[index % config.degrees.size()];
-    const std::uint64_t seed = sim::derive_task_seed(config.seed, index);
-    // Journal resume: a point completed by a prior interrupted run is
-    // replayed from its payload instead of re-simulated.
-    if (config.resume) {
-      CollateralPoint cached;
-      if (config.resume(index, cached)) {
-        stats.events = cached.events_processed;
-        return cached;
-      }
-    }
-    // Only point 0 is observed: worker threads must not share the hub, and
-    // pinning it to a fixed point keeps trace/metrics output byte-identical
-    // at any --jobs value.
-    obs::Hub* hub = index == 0 ? config.hub : nullptr;
-    CollateralPoint point = run_collateral_point(config, mode, degree, seed, hub);
-    stats.events = point.events_processed;
-    stats.events_by_category = point.events_by_category;
-    if (config.on_result) config.on_result(index, seed, point);
-    return point;
-  });
-  report.sweep = runner.last_run();
+  report.points = run_sweep<CollateralPoint>(
+      config.modes.size() * config.degrees.size(), config.jobs, config.sweep,
+      [&config](std::size_t index) { return sim::derive_task_seed(config.seed, index); },
+      config.resume, config.on_result,
+      [&config](std::size_t index, std::uint64_t seed) {
+        // Only point 0 is observed: worker threads must not share the hub,
+        // and pinning it to a fixed point keeps trace/metrics output
+        // byte-identical at any --jobs value.
+        return run_collateral_point(config, config.modes[index / config.degrees.size()],
+                                    config.degrees[index % config.degrees.size()], seed,
+                                    index == 0 ? config.hub : nullptr);
+      },
+      report.sweep);
   return report;
 }
 

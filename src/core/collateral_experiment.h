@@ -30,10 +30,10 @@
 #define INCAST_CORE_COLLATERAL_EXPERIMENT_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "core/experiment_sweep.h"
 #include "net/pfc.h"
 #include "net/topology.h"
 #include "obs/flow_trace.h"
@@ -52,6 +52,8 @@ enum class QueueMode { kDropTail, kPfc, kTrim, kCredit };
 [[nodiscard]] const char* to_string(QueueMode mode) noexcept;
 // Parses "droptail" | "pfc" | "trim" | "credit"; false on anything else.
 [[nodiscard]] bool parse_queue_mode(const std::string& name, QueueMode& out) noexcept;
+
+struct CollateralPoint;
 
 struct CollateralConfig {
   // The sweep grid: every (mode, degree) pair is one simulation point,
@@ -134,20 +136,18 @@ struct CollateralConfig {
   bool flow_trace{false};
   std::uint64_t flow_trace_sample_every{1};
 
-  // Checkpoint/resume hooks (core::TaskJournal wires these from the CLI).
-  // `resume` is consulted before a point runs: return true and fill the
-  // point to skip its simulation. `on_result` fires after every freshly-run
-  // point.
-  std::function<bool(std::size_t index, struct CollateralPoint& out)> resume{};
-  std::function<void(std::size_t index, std::uint64_t seed,
-                     const struct CollateralPoint& point)>
-      on_result{};
+  // Checkpoint/resume hooks (see core/experiment_sweep.h).
+  ResumeHook<CollateralPoint> resume;
+  ResultHook<CollateralPoint> on_result;
 
   std::uint64_t seed{1};
 };
 
-// One (mode, degree) simulation outcome.
-struct CollateralPoint {
+// One (mode, degree) simulation outcome. Of the RunCounters, only
+// events_processed and audit_violations are journaled (and audit_violations
+// is a CSV column); the event-loop profile and kernel footprint are sweep
+// telemetry a resumed point leaves 0.
+struct CollateralPoint : RunCounters {
   QueueMode mode{QueueMode::kDropTail};
   int degree{0};
 
@@ -173,12 +173,6 @@ struct CollateralPoint {
   std::int64_t pfc_resume_frames{0};
   std::int64_t pfc_overflow_drops{0};
   std::int64_t incast_nacks{0};
-
-  std::uint64_t events_processed{0};
-  // Dispatch counts per event category (the sweep's event-loop profile);
-  // not part of the CSV and not journaled, so a resumed point leaves them 0.
-  sim::EventCategoryCounts events_by_category{};
-  std::uint64_t audit_violations{0};
 
   // Tail autopsy (empty unless flow_trace): p50/p99/p999 attribution rows.
   // Every underlying breakdown was conservation-checked by the auditor

@@ -1,16 +1,12 @@
 #include "core/fabric_experiment.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "core/experiment_obs.h"
 #include "fault/fault_injector.h"
-#include "obs/flow_trace.h"
-#include "obs/hub.h"
 #include "telemetry/port_sampler.h"
 
 namespace incast::core {
@@ -32,35 +28,6 @@ std::int64_t VantageTrace::peak_queue_packets() const {
 }
 
 namespace {
-
-struct TcpCounters {
-  std::int64_t timeouts{0};
-  std::int64_t fast_retransmits{0};
-  std::int64_t retransmitted_packets{0};
-  std::int64_t data_packets_sent{0};
-};
-
-TcpCounters sum_counters(const std::vector<tcp::TcpSender*>& senders) {
-  TcpCounters c;
-  for (const tcp::TcpSender* s : senders) {
-    c.timeouts += s->stats().timeouts;
-    c.fast_retransmits += s->stats().fast_retransmits;
-    c.retransmitted_packets += s->stats().retransmitted_packets;
-    c.data_packets_sent += s->stats().data_packets_sent;
-  }
-  return c;
-}
-
-struct QueueCounters {
-  std::int64_t drops{0};
-  std::int64_t marks{0};
-  std::int64_t enqueues{0};
-};
-
-QueueCounters queue_counters(const net::DropTailQueue& q) {
-  return QueueCounters{q.stats().dropped_packets, q.stats().ecn_marked_packets,
-                       q.stats().enqueued_packets};
-}
 
 // Chooses the sender hosts: the receiver sits in slot 0 of the last leaf;
 // senders fill the other leaves (cross-rack) or the first leaf alone
@@ -109,27 +76,7 @@ std::vector<int> place_senders(const fabric::FatTreeConfig& fab, int num_flows,
 FabricIncastExperimentResult run_fabric_incast_experiment(
     const FabricIncastExperimentConfig& config) {
   sim::Simulator sim;
-  // Attach the hub before any component is built: senders cache the hub
-  // pointer in their constructors.
-  if (config.hub != nullptr) sim.set_hub(config.hub);
-#if INCAST_AUDIT_ENABLED
-  std::optional<sim::Auditor> auditor;
-  if (config.audit_mode != sim::AuditMode::kOff) {
-    sim::Auditor::Config acfg = config.audit;
-    acfg.strict = config.audit_mode == sim::AuditMode::kStrict;
-    auditor.emplace(acfg);
-    sim.set_auditor(&*auditor);
-  }
-#endif
-  // Tail autopsy: attached before topology/sender construction, like the
-  // hub and the auditor (all three are cached pointers).
-  std::optional<obs::FlowTracer> flow_tracer;
-  if (config.flow_trace) {
-    flow_tracer.emplace(
-        obs::FlowTracer::Config{config.seed, config.flow_trace_sample_every},
-        config.hub);
-    sim.set_flow_tracer(&*flow_tracer);
-  }
+  ExperimentObserver run{sim, config, config.hub};
   // Capacity hint: per-flow timers plus in-flight packets across the
   // fabric's extra hops (each hop adds serialization + propagation events).
   sim.reserve_events(static_cast<std::size_t>(config.num_flows) * 16 + 4096);
@@ -209,33 +156,20 @@ FabricIncastExperimentResult run_fabric_incast_experiment(
 
   // Experiment-scope observability on the bottleneck hop (the receiver's
   // leaf downlink): trace label, queue metrics, fault totals.
-  ExperimentObserver observer{INCAST_OBS_HUB(sim)};
-  const std::string bottleneck_link = fabric.downlink_name(receiver_host);
-  if (observer.active()) {
-    fabric.link(bottleneck_link).set_trace_label(bottleneck_link);
-    observer.watch_queue(bottleneck_link, fabric.downlink_queue(receiver_host));
-    observer.watch_simulator(sim);
-    if (injector) observer.watch_faults(*injector);
-#if INCAST_AUDIT_ENABLED
-    if (auditor) observer.watch_auditor(*auditor, sim);
-#endif
-  }
-
+  if (injector) run.watch_faults(*injector);
   telemetry::QueueMonitor::Config qcfg;
   qcfg.sample_every = config.queue_sample_every;
   qcfg.watermark_window = sim::Time::milliseconds(1);
-  if (observer.active()) qcfg.trace_label = bottleneck_link;
+  qcfg.trace_label = run.watch_bottleneck(fabric, fabric.downlink_name(receiver_host));
   telemetry::QueueMonitor qmon{sim, fabric.downlink_queue(receiver_host), qcfg};
   qmon.start(config.max_sim_time);
 
   auto senders = driver.senders();
-  TcpCounters tcp_at_start = sum_counters(senders);
-  QueueCounters q_at_start = queue_counters(fabric.downlink_queue(receiver_host));
+  WindowCounters at_start = WindowCounters::read(senders, fabric.downlink_queue(receiver_host));
 
   driver.set_on_burst_complete([&](int index) {
     if (index == config.discard_bursts - 1) {
-      tcp_at_start = sum_counters(senders);
-      q_at_start = queue_counters(fabric.downlink_queue(receiver_host));
+      at_start = WindowCounters::read(senders, fabric.downlink_queue(receiver_host));
     }
     if (driver.finished()) sim.stop();
   });
@@ -243,72 +177,22 @@ FabricIncastExperimentResult run_fabric_incast_experiment(
   driver.start();
   sim.run_until(config.max_sim_time);
 
-  // Loud teardown: a blackholed packet is a routing bug, not noise.
-  net::check_no_unrouted(fabric.switches());
-#if INCAST_AUDIT_ENABLED
-  if (auditor) auditor->check_conservation(fabric.residual_buffered_bytes());
-#endif
+  FabricIncastExperimentResult result;
+  run.teardown(fabric, fabric.switches(), result);
 
   const sim::Time trace_end = sim.now();
   host_sampler.finalize(trace_end);
   for (auto& s : leaf_samplers) s->finalize(trace_end);
   for (auto& s : spine_samplers) s->finalize(trace_end);
 
-  FabricIncastExperimentResult result;
-
-  // Tail autopsy teardown: finalize, conservation-check every breakdown,
-  // derive the percentile attribution rows.
-  if (flow_tracer) {
-    result.flow_breakdowns = flow_tracer->finalize(sim.now().ns());
-    result.flow_trace_incomplete = flow_tracer->incomplete_flows();
-#if INCAST_AUDIT_ENABLED
-    if (auditor) {
-      for (const obs::FlowBreakdown& f : result.flow_breakdowns) {
-        auditor->check_flow_breakdown(f.flow, f.component_sum(), f.fct_ns);
-      }
-    }
-#endif
-    result.fct_rows = obs::tail_attribution(result.flow_breakdowns);
-  }
-
-  // INT overflow teardown check — warn, never abort (ACK echo on deep
-  // paths can exceed the stack legitimately).
-  for (const net::Switch* sw : fabric.switches()) {
-    result.int_hop_overflows += sw->int_hop_overflows();
-  }
-  for (int h = 0; h < fabric.num_hosts(); ++h) {
-    result.int_hop_overflows += fabric.host(h).int_hop_overflows();
-  }
-  if (result.int_hop_overflows > 0) {
-    std::fprintf(stderr,
-                 "warning: %lld INT hop records overflowed the %d-entry stack "
-                 "(net.int.hop_overflow); telemetry CCAs saw truncated paths\n",
-                 static_cast<long long>(result.int_hop_overflows), net::kMaxIntHops);
-  }
-
   result.bursts = driver.bursts();
   result.sender_hosts = sender_hosts;
   result.receiver_host = receiver_host;
   result.queue_series = qmon.samples();
-  result.events_processed = sim.events_processed();
-  result.events_by_category = sim.events_by_category();
-  result.peak_events_pending = sim.peak_events_pending();
-  result.slab_high_water = sim.slab_high_water();
-#if INCAST_AUDIT_ENABLED
-  if (auditor) result.audit_violations = auditor->total_violations();
-#endif
   if (injector) result.injected_drops = injector->total().injected_drops();
 
-  const TcpCounters tcp_end = sum_counters(senders);
-  const QueueCounters q_end = queue_counters(fabric.downlink_queue(receiver_host));
-  result.timeouts = tcp_end.timeouts - tcp_at_start.timeouts;
-  result.fast_retransmits = tcp_end.fast_retransmits - tcp_at_start.fast_retransmits;
-  result.retransmitted_packets =
-      tcp_end.retransmitted_packets - tcp_at_start.retransmitted_packets;
-  result.data_packets_sent = tcp_end.data_packets_sent - tcp_at_start.data_packets_sent;
-  result.queue_drops = q_end.drops - q_at_start.drops;
-  result.queue_ecn_marks = q_end.marks - q_at_start.marks;
-  result.queue_enqueues = q_end.enqueues - q_at_start.enqueues;
+  WindowCounters::read(senders, fabric.downlink_queue(receiver_host))
+      .store_since(at_start, result);
   result.mode = classify_mode(result.timeouts, result.marked_fraction());
 
   // Per-burst aggregates and in-burst queue statistics over measured bursts.
@@ -380,15 +264,12 @@ FabricIncastExperimentResult run_fabric_incast_experiment(
   }
 
   // Close out the observed run while every metric source is still alive.
-  if (observer.active()) {
-    observer.hub()->metrics().register_counter(
-        "net.int.hop_overflow", [v = result.int_hop_overflows] { return v; });
+  if (run.active()) {
     std::vector<double> bct_ms;
     for (std::size_t b = first_measured; b < result.bursts.size(); ++b) {
       bct_ms.push_back(result.bursts[b].completion_time().ms());
     }
-    observer.finish(sim.now().ns(), bct_ms, to_string(result.mode));
-    observer.hub()->metrics().unregister_prefix("net.int.");
+    run.finish(sim.now().ns(), bct_ms, to_string(result.mode));
   }
 
   return result;

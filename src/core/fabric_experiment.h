@@ -89,7 +89,8 @@ struct VantageTrace {
   [[nodiscard]] std::int64_t peak_queue_packets() const;
 };
 
-struct FabricIncastExperimentResult {
+// Event-kernel and audit counters come from RunCounters.
+struct FabricIncastExperimentResult : RunCounters {
   std::vector<workload::CyclicIncastDriver::BurstRecord> bursts;
 
   // Placement actually used (global host indices).
@@ -132,25 +133,10 @@ struct FabricIncastExperimentResult {
   std::vector<LeafEcmpSpread> leaf_ecmp;
   std::int64_t ecmp_path_changes{0};
 
-  std::uint64_t events_processed{0};
-  sim::EventCategoryCounts events_by_category{};
-  // Event-kernel footprint (sim/event_queue.h): peak pending heap depth and
-  // callback-slab high-water mark.
-  std::uint64_t peak_events_pending{0};
-  std::uint64_t slab_high_water{0};
-
-  // Auditor invariant violations observed during the run (0 when auditing
-  // is off or compiled out).
-  std::uint64_t audit_violations{0};
-
-  // Tail autopsy (see IncastExperimentResult): per-flow breakdowns,
-  // percentile attribution rows, flows cut mid-period by max_sim_time.
+  // Tail autopsy and INT overflow census (see ExperimentObserver::teardown).
   std::vector<obs::FlowBreakdown> flow_breakdowns;
   std::vector<obs::TailAttributionRow> fct_rows;
   std::uint64_t flow_trace_incomplete{0};
-
-  // INT hop-stamp overflows across all fabric ports (see
-  // IncastExperimentResult::int_hop_overflows).
   std::int64_t int_hop_overflows{0};
 
   [[nodiscard]] double marked_fraction() const noexcept {

@@ -13,10 +13,10 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "analysis/burst_detector.h"
+#include "core/experiment_sweep.h"
 #include "sim/auditor.h"
 #include "sim/event_category.h"
 #include "sim/sweep.h"
@@ -98,14 +98,9 @@ struct FleetConfig {
   // — fail_fast — reproduces the historical abort-on-first-error behavior.
   sim::SweepRunner::Policy sweep{};
 
-  // Checkpoint/resume hooks (core::TaskJournal wires these from the CLI).
-  // `resume` is consulted before a cell runs: return true and fill the
-  // result to skip the simulation entirely. `on_result` fires after every
-  // freshly-run cell (from the worker thread that ran it) with the cell's
-  // derived seed.
-  std::function<bool(std::size_t index, HostTraceResult& out)> resume{};
-  std::function<void(std::size_t index, std::uint64_t seed, const HostTraceResult&)>
-      on_result{};
+  // Checkpoint/resume hooks (see core/experiment_sweep.h).
+  ResumeHook<HostTraceResult> resume;
+  ResultHook<HostTraceResult> on_result;
 
   // Test hook: the cell at this sweep index (snapshot * num_hosts + host)
   // throws instead of running, exercising the sweep layer's fault
@@ -113,7 +108,9 @@ struct FleetConfig {
   int fail_cell_for_test{-1};
 };
 
-struct HostTraceResult {
+// One (host, snapshot) trace; the event-kernel and audit counters (the
+// determinism fingerprint among them) come from RunCounters.
+struct HostTraceResult : RunCounters {
   int host{0};
   int snapshot{0};
   bool alt_regime{false};
@@ -121,20 +118,9 @@ struct HostTraceResult {
   analysis::TraceBurstSummary summary;
   std::int64_t queue_drops{0};
   std::int64_t generated_bursts{0};  // ground truth from the generator
-  // Simulator events this trace dispatched — the determinism fingerprint
-  // (identical for a given (host, snapshot, seed) at any --jobs value) —
-  // plus the per-category breakdown and, when profile_event_loop is set,
-  // wall time spent in callbacks by category (wall time is timing
-  // telemetry: never part of the deterministic results).
-  std::uint64_t events_processed{0};
-  sim::EventCategoryCounts events_by_category{};
+  // When profile_event_loop is set, wall time spent in callbacks by event
+  // category (timing telemetry: never part of the deterministic results).
   std::array<double, sim::kNumEventCategories> wall_ns_by_category{};
-  // Event-kernel footprint (sim/event_queue.h).
-  std::uint64_t peak_events_pending{0};
-  std::uint64_t slab_high_water{0};
-  // Auditor invariant violations observed during this trace (0 when the
-  // audit layer is off or compiled out).
-  std::uint64_t audit_violations{0};
 
   // Per-1ms ToR queue watermarks (always retained; Figure 4a coarsens them
   // to production-style windows).

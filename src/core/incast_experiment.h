@@ -14,11 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment_obs.h"
 #include "fault/fault_injector.h"
 #include "net/topology.h"
 #include "obs/flow_trace.h"
 #include "sim/auditor.h"
-#include "sim/event_category.h"
 #include "tcp/tcp_config.h"
 #include "telemetry/inflight_sampler.h"
 #include "telemetry/queue_monitor.h"
@@ -108,7 +108,8 @@ struct IncastExperimentConfig {
   std::uint64_t seed{1};
 };
 
-struct IncastExperimentResult {
+// Event-kernel and audit counters come from RunCounters.
+struct IncastExperimentResult : RunCounters {
   // Every burst, in order (index 0 .. num_bursts-1).
   std::vector<workload::CyclicIncastDriver::BurstRecord> bursts;
 
@@ -160,33 +161,10 @@ struct IncastExperimentResult {
   std::vector<std::int64_t> congestion_drops_by_window;
   std::vector<std::int64_t> injected_drops_by_window;
 
-  // Total events the simulator dispatched — the determinism fingerprint
-  // (two runs with the same seed must agree exactly) — and its breakdown by
-  // event category (always collected; the self-profiler's cheap half).
-  std::uint64_t events_processed{0};
-  sim::EventCategoryCounts events_by_category{};
-  // Event-kernel footprint: peak pending heap depth and callback-slab
-  // high-water mark (how many events were ever scheduled concurrently).
-  std::uint64_t peak_events_pending{0};
-  std::uint64_t slab_high_water{0};
-
-  // Total auditor invariant violations observed during the run (always 0
-  // in strict mode — the first one aborts — and under -DINCAST_AUDIT=OFF
-  // or audit_mode kOff).
-  std::uint64_t audit_violations{0};
-
-  // Tail autopsy (empty unless config.flow_trace): exact per-flow FCT
-  // decompositions for completed sampled flows, the p50/p99/p999
-  // attribution rows derived from them, and how many sampled flows the
-  // sim-time wall cut mid-period.
+  // Tail autopsy and INT overflow census (see ExperimentObserver::teardown).
   std::vector<obs::FlowBreakdown> flow_breakdowns;
   std::vector<obs::TailAttributionRow> fct_rows;
   std::uint64_t flow_trace_incomplete{0};
-
-  // INT hop-stamp overflows across all ports (packets whose INT stack was
-  // full at a stamping hop). Nonzero means telemetry-driven CCAs saw a
-  // truncated path — surfaced as the net.int.hop_overflow metric and a
-  // teardown warning instead of being dropped silently.
   std::int64_t int_hop_overflows{0};
 
   [[nodiscard]] double marked_fraction() const noexcept {

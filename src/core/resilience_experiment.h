@@ -11,9 +11,9 @@
 #ifndef INCAST_CORE_RESILIENCE_EXPERIMENT_H_
 #define INCAST_CORE_RESILIENCE_EXPERIMENT_H_
 
-#include <functional>
 #include <vector>
 
+#include "core/experiment_sweep.h"
 #include "core/incast_experiment.h"
 #include "sim/sweep.h"
 
@@ -51,6 +51,11 @@ struct ResiliencePoint {
   DctcpMode mode{DctcpMode::kSafe};
 };
 
+// A point's sweep counters are its run's (see run_sweep).
+[[nodiscard]] inline const RunCounters& run_counters(const ResiliencePoint& point) noexcept {
+  return point.result;
+}
+
 struct ResilienceConfig {
   // Base experiment (flows, CC, queue, schedule, seed ...). Its `faults`
   // field is ignored; each sweep point installs its own profile.
@@ -84,13 +89,9 @@ struct ResilienceConfig {
   // shared base seed (points deliberately reuse it; see run()).
   sim::SweepRunner::Policy sweep{};
 
-  // Checkpoint/resume hooks (core::TaskJournal wires these from the CLI).
-  // `resume` is consulted before a point runs: return true and fill the
-  // point to skip its simulation. `on_result` fires after every freshly-run
-  // point, from the worker thread that ran it.
-  std::function<bool(std::size_t index, ResiliencePoint& out)> resume{};
-  std::function<void(std::size_t index, std::uint64_t seed, const ResiliencePoint&)>
-      on_result{};
+  // Checkpoint/resume hooks (see core/experiment_sweep.h).
+  ResumeHook<ResiliencePoint> resume;
+  ResultHook<ResiliencePoint> on_result;
 };
 
 struct ResilienceReport {

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <string>
 
 #include "core/experiment_obs.h"
 #include "net/packet.h"
-#include "obs/flow_trace.h"
 #include "obs/hub.h"
 #include "obs/metrics.h"
 #include "sim/stable_arena.h"
@@ -33,29 +31,9 @@ ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
   point.degree = degree;
 
   sim::Simulator sim;
-  if (hub != nullptr) sim.set_hub(hub);
-
-#if INCAST_AUDIT_ENABLED
-  std::optional<sim::Auditor> auditor;
-  if (config.audit_mode != sim::AuditMode::kOff) {
-    sim::Auditor::Config acfg = config.audit;
-    acfg.strict = config.audit_mode == sim::AuditMode::kStrict;
-    auditor.emplace(acfg);
-    sim.set_auditor(&*auditor);
-  }
-#endif
-
-  // Tail autopsy: attach before any component constructs, so every port and
-  // sender caches the tracer pointer. Sampling hashes with the *base* seed
-  // (not this point's derived seed) so the same flow ids are traced at
-  // every degree.
-  std::optional<obs::FlowTracer> flow_tracer;
-  if (config.flow_trace) {
-    flow_tracer.emplace(
-        obs::FlowTracer::Config{config.seed, config.flow_trace_sample_every},
-        hub);
-    sim.set_flow_tracer(&*flow_tracer);
-  }
+  // Flow sampling hashes the *base* seed (not this point's derived seed) so
+  // the same flow ids are traced at every degree.
+  ExperimentObserver run{sim, config, hub};
 
   sim.reserve_events(static_cast<std::size_t>(degree) * 8 + 4096);
 
@@ -92,15 +70,7 @@ ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
   }
 
   // Experiment-scope observability on the bottleneck downlink.
-  ExperimentObserver observer{INCAST_OBS_HUB(sim)};
-  const std::string bottleneck_link = tree.downlink_name(receiver);
-  if (observer.active()) {
-    observer.watch_queue(bottleneck_link, tree.downlink_queue(receiver));
-    observer.watch_simulator(sim);
-#if INCAST_AUDIT_ENABLED
-    if (auditor) observer.watch_auditor(*auditor, sim);
-#endif
-  }
+  run.watch_queue(tree.downlink_name(receiver), tree.downlink_queue(receiver));
 
   // All flows start at t=0 — the incast in its purest form.
   for (std::size_t i = 0; i < connections.size(); ++i) {
@@ -109,32 +79,10 @@ ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
 
   sim.run_until(config.max_sim_time);
 
-  net::check_no_unrouted(switches);
-#if INCAST_AUDIT_ENABLED
-  if (auditor) auditor->check_conservation(tree.residual_buffered_bytes());
-#endif
-
-  // Tail autopsy teardown: finalize sampled breakdowns, conservation-check
-  // each one, aggregate into percentile rows. Full per-flow breakdowns are
-  // discarded here — at degree 8000 keeping them for every point would
-  // defeat the memory budget this experiment exists to measure.
-  if (flow_tracer) {
-    const std::vector<obs::FlowBreakdown> breakdowns =
-        flow_tracer->finalize(sim.now().ns());
-    point.traced_flows = breakdowns.size();
-    point.flow_trace_incomplete = flow_tracer->incomplete_flows();
-#if INCAST_AUDIT_ENABLED
-    if (auditor) {
-      for (const obs::FlowBreakdown& f : breakdowns) {
-        auditor->check_flow_breakdown(f.flow, f.component_sum(), f.fct_ns);
-      }
-    }
-#endif
-    point.fct_rows = obs::tail_attribution(breakdowns);
-  }
-#if INCAST_AUDIT_ENABLED
-  if (auditor) point.audit_violations = auditor->total_violations();
-#endif
+  // The point keeps only the traced-flow count, not the breakdowns: at
+  // degree 8000 keeping them for every point would defeat the memory budget
+  // this experiment exists to measure.
+  run.teardown(tree, switches, point);
 
   point.completed_flows = completed;
   point.fct_ms = sim.now().ms();
@@ -158,7 +106,6 @@ ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
   point.flow_state_bytes = connections.bytes();
   for (net::Switch* sw : switches) {
     point.routing_bytes += sw->routing_bytes();
-    point.int_hop_overflows += sw->int_hop_overflows();
     for (std::size_t i = 0; i < sw->num_ports(); ++i) {
       point.queue_drops += sw->port(i).queue().stats().dropped_packets;
       point.packet_pool_bytes += sw->port(i).pool_high_water() * sizeof(net::Packet);
@@ -166,17 +113,9 @@ ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
   }
   for (int h = 0; h < num_hosts; ++h) {
     net::Host& host = tree.host(h);
-    point.int_hop_overflows += host.int_hop_overflows();
     for (std::size_t i = 0; i < host.num_ports(); ++i) {
       point.packet_pool_bytes += host.port(i).pool_high_water() * sizeof(net::Packet);
     }
-  }
-  if (point.int_hop_overflows > 0) {
-    std::fprintf(stderr,
-                 "warning: %lld INT hop records overflowed the %d-entry stack "
-                 "(net.int.hop_overflow); telemetry CCAs saw truncated paths\n",
-                 static_cast<long long>(point.int_hop_overflows),
-                 net::kMaxIntHops);
   }
   point.event_bytes = static_cast<std::uint64_t>(sim.slab_high_water()) *
                       sim::EventQueue::slot_bytes();
@@ -184,13 +123,10 @@ ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
                           point.routing_bytes + point.event_bytes) /
                          static_cast<std::uint64_t>(degree);
 
-  point.events_processed = sim.events_processed();
-  point.events_by_category = sim.events_by_category();
-
-  if (observer.active()) {
+  if (run.active()) {
     // Surface the budget decomposition in the final metrics snapshot, then
     // unregister so a reused hub does not accumulate stale sources.
-    obs::MetricsRegistry& metrics = observer.hub()->metrics();
+    obs::MetricsRegistry& metrics = run.hub()->metrics();
     metrics.register_gauge("scaling.fct_ms", [&point] { return point.fct_ms; });
     metrics.register_gauge("scaling.overhead_pct",
                            [&point] { return point.overhead_pct; });
@@ -209,51 +145,27 @@ ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
     metrics.register_gauge("scaling.event_bytes", [&point] {
       return static_cast<double>(point.event_bytes);
     });
-    metrics.register_counter("net.int.hop_overflow",
-                             [v = point.int_hop_overflows] { return v; });
-    observer.finish(sim.now().ns(), {point.fct_ms}, nullptr);
+    run.finish(sim.now().ns(), {point.fct_ms}, nullptr);
     metrics.unregister_prefix("scaling.");
-    metrics.unregister_prefix("net.int.");
   }
 
   return point;
 }
 
 ScalingReport run_scaling_experiment(const ScalingConfig& config) {
-  const std::size_t n = config.degrees.size();
   ScalingReport report;
-
-  sim::SweepRunner runner{config.jobs};
-  sim::SweepRunner::Policy policy = config.sweep;
-  policy.seed_of = [&config](std::size_t index) {
-    return sim::derive_task_seed(config.seed, index);
-  };
-  runner.set_policy(std::move(policy));
-
-  report.points = runner.run<ScalingPoint>(
-      n, [&config](std::size_t index, sim::SweepRunner::TaskStats& stats) {
-        const int degree = config.degrees[index];
-        const std::uint64_t seed = sim::derive_task_seed(config.seed, index);
-        // Journal resume: a point completed by a prior interrupted run is
-        // replayed from its payload instead of re-simulated.
-        if (config.resume) {
-          ScalingPoint cached;
-          if (config.resume(index, cached)) {
-            stats.events = cached.events_processed;
-            return cached;
-          }
-        }
+  report.points = run_sweep<ScalingPoint>(
+      config.degrees.size(), config.jobs, config.sweep,
+      [&config](std::size_t index) { return sim::derive_task_seed(config.seed, index); },
+      config.resume, config.on_result,
+      [&config](std::size_t index, std::uint64_t seed) {
         // Only point 0 is observed: worker threads must not share the hub,
         // and pinning it to a fixed point keeps trace/metrics output
         // byte-identical at any --jobs value.
-        obs::Hub* hub = index == 0 ? config.hub : nullptr;
-        ScalingPoint point = run_scaling_point(config, degree, seed, hub);
-        stats.events = point.events_processed;
-        stats.events_by_category = point.events_by_category;
-        if (config.on_result) config.on_result(index, seed, point);
-        return point;
-      });
-  report.sweep = runner.last_run();
+        return run_scaling_point(config, config.degrees[index], seed,
+                                 index == 0 ? config.hub : nullptr);
+      },
+      report.sweep);
   return report;
 }
 

@@ -35,10 +35,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "core/experiment_sweep.h"
 #include "fabric/fat_tree.h"
 #include "obs/flow_trace.h"
 #include "sim/auditor.h"
@@ -50,6 +50,8 @@ class Hub;
 }  // namespace incast::obs
 
 namespace incast::core {
+
+struct ScalingPoint;
 
 struct ScalingConfig {
   // Incast degrees to sweep, one simulation point each. The default ladder
@@ -81,11 +83,9 @@ struct ScalingConfig {
   int jobs{1};
   sim::SweepRunner::Policy sweep{};
 
-  // Journal checkpoint/resume (core/task_journal.h). resume(index, out)
-  // returns true and fills `out` when a prior run already completed this
-  // point; on_result(index, seed, point) records a freshly computed one.
-  std::function<bool(std::size_t, struct ScalingPoint&)> resume;
-  std::function<void(std::size_t, std::uint64_t, const struct ScalingPoint&)> on_result;
+  // Checkpoint/resume hooks (see core/experiment_sweep.h).
+  ResumeHook<ScalingPoint> resume;
+  ResultHook<ScalingPoint> on_result;
 
   // Observability: only point 0 attaches the hub (worker threads must not
   // share it), so trace/metrics output is byte-identical at any --jobs.
@@ -107,8 +107,11 @@ struct ScalingConfig {
   std::uint64_t seed{1};
 };
 
-// One incast-degree simulation outcome.
-struct ScalingPoint {
+// One incast-degree simulation outcome. Of the RunCounters, only
+// events_processed and audit_violations are CSV columns and journaled; the
+// event-loop profile and kernel footprint are sweep telemetry a resumed
+// point leaves 0.
+struct ScalingPoint : RunCounters {
   int degree{0};
 
   double fct_ms{0.0};       // completion time of the last flow
@@ -127,12 +130,6 @@ struct ScalingPoint {
   std::uint64_t event_bytes{0};
   std::uint64_t bytes_per_flow{0};  // sum of the four, / degree
 
-  std::uint64_t events_processed{0};
-  // Dispatch counts per event category (the sweep's event-loop profile);
-  // not part of the CSV and not journaled, so a resumed point leaves them 0.
-  sim::EventCategoryCounts events_by_category{};
-  std::uint64_t audit_violations{0};
-
   // Tail autopsy (empty unless flow_trace): p50/p99/p999 attribution rows.
   // Every underlying breakdown was conservation-checked by the auditor
   // before aggregation (audit_violations counts any failures).
@@ -142,7 +139,6 @@ struct ScalingPoint {
 
   // INT hop-stamp overflows across all ports of this point's fabric.
   std::int64_t int_hop_overflows{0};
-
 };
 
 struct ScalingReport {

@@ -3,6 +3,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,32 +30,28 @@ constexpr std::int64_t kJournalVersion = 1;
 // Canonical-string helpers: "key=value|" pieces in a fixed order. Doubles
 // use %.17g so the string (and hence the fingerprint) round-trips the exact
 // value the run will use.
-void put(std::string& out, const char* key, std::int64_t value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s=%" PRId64 "|", key, value);
-  out += buf;
-}
-
-void put_u64(std::string& out, const char* key, std::uint64_t value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s=%" PRIu64 "|", key, value);
-  out += buf;
-}
-
-void put(std::string& out, const char* key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s=%.17g|", key, value);
-  out += buf;
-}
-
-void put(std::string& out, const char* key, const std::string& value) {
+void put(std::string& out, const std::string& key, const std::string& value) {
   out += key;
   out += '=';
   out += value;
   out += '|';
 }
 
-void put_time(std::string& out, const char* key, sim::Time t) { put(out, key, t.ns()); }
+void put(std::string& out, const std::string& key, std::int64_t value) {
+  put(out, key, std::to_string(value));
+}
+
+void put_u64(std::string& out, const std::string& key, std::uint64_t value) {
+  put(out, key, std::to_string(value));
+}
+
+void put(std::string& out, const std::string& key, double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  put(out, key, std::string{buf});
+}
+
+void put_time(std::string& out, const std::string& key, sim::Time t) { put(out, key, t.ns()); }
 
 void put_profile(std::string& out, const workload::ServiceProfile& p) {
   put(out, "service", p.name);
@@ -82,45 +81,36 @@ void put_tcp(std::string& out, const tcp::TcpConfig& tcp) {
 }
 
 void put_queue(std::string& out, const char* prefix, const net::DropTailQueue::Config& q) {
-  std::string key{prefix};
-  const auto add = [&](const char* name, std::int64_t v) {
-    put(out, (key + name).c_str(), v);
-  };
-  add("capacity_packets", q.capacity_packets);
-  add("capacity_bytes", q.capacity_bytes);
-  add("ecn_threshold_packets", q.ecn_threshold_packets);
-  add("ecn_kmin_packets", q.ecn_kmin_packets);
-  add("ecn_kmax_packets", q.ecn_kmax_packets);
-  add("discipline", static_cast<std::int64_t>(q.discipline));
-  add("trim_header_bytes", q.trim_header_bytes);
-  add("header_capacity_packets", q.header_capacity_packets);
+  const std::string key{prefix};
+  put(out, key + "capacity_packets", q.capacity_packets);
+  put(out, key + "capacity_bytes", q.capacity_bytes);
+  put(out, key + "ecn_threshold_packets", q.ecn_threshold_packets);
+  put(out, key + "ecn_kmin_packets", q.ecn_kmin_packets);
+  put(out, key + "ecn_kmax_packets", q.ecn_kmax_packets);
+  put(out, key + "discipline", static_cast<std::int64_t>(q.discipline));
+  put(out, key + "trim_header_bytes", q.trim_header_bytes);
+  put(out, key + "header_capacity_packets", q.header_capacity_packets);
 }
 
 void put_pfc(std::string& out, const char* prefix, const net::LosslessInputQueue::Config& p) {
-  std::string key{prefix};
-  const auto add = [&](const char* name, std::int64_t v) {
-    put(out, (key + name).c_str(), v);
-  };
-  add("xoff_bytes", p.xoff_bytes);
-  add("xon_bytes", p.xon_bytes);
-  add("headroom_bytes", p.headroom_bytes);
-  add("pause_ns", p.pause_ns);
+  const std::string key{prefix};
+  put(out, key + "xoff_bytes", p.xoff_bytes);
+  put(out, key + "xon_bytes", p.xon_bytes);
+  put(out, key + "headroom_bytes", p.headroom_bytes);
+  put(out, key + "pause_ns", p.pause_ns);
 }
 
 void put_fault(std::string& out, const char* prefix, const fault::LinkFaultConfig& f) {
-  std::string key{prefix};
-  const auto add_d = [&](const char* name, double v) {
-    put(out, (key + name).c_str(), v);
-  };
-  add_d("drop_rate", f.drop_rate);
-  add_d("corrupt_rate", f.corrupt_rate);
-  add_d("duplicate_rate", f.duplicate_rate);
-  add_d("reorder_rate", f.reorder_rate);
-  put(out, (key + "reorder_max_delay").c_str(), f.reorder_max_delay.ns());
-  add_d("ge_good_to_bad", f.ge_good_to_bad);
-  add_d("ge_bad_to_good", f.ge_bad_to_good);
-  add_d("ge_drop_bad", f.ge_drop_bad);
-  add_d("ge_drop_good", f.ge_drop_good);
+  const std::string key{prefix};
+  put(out, key + "drop_rate", f.drop_rate);
+  put(out, key + "corrupt_rate", f.corrupt_rate);
+  put(out, key + "duplicate_rate", f.duplicate_rate);
+  put(out, key + "reorder_rate", f.reorder_rate);
+  put_time(out, key + "reorder_max_delay", f.reorder_max_delay);
+  put(out, key + "ge_good_to_bad", f.ge_good_to_bad);
+  put(out, key + "ge_bad_to_good", f.ge_bad_to_good);
+  put(out, key + "ge_drop_bad", f.ge_drop_bad);
+  put(out, key + "ge_drop_good", f.ge_drop_good);
 }
 
 }  // namespace
@@ -262,6 +252,12 @@ std::string canonical_config(const CollateralConfig& config) {
   return out;
 }
 
+std::string canonical_config(const ChaosConfig& config) {
+  return "chaos|seed=" + std::to_string(config.seed) +
+         "|configs=" + std::to_string(config.num_configs) +
+         "|max_events=" + std::to_string(config.max_events_per_run);
+}
+
 TaskJournal::~TaskJournal() {
   if (out_ != nullptr) std::fclose(out_);
 }
@@ -327,29 +323,36 @@ void TaskJournal::open(const std::string& path, const JournalHeader& header) {
         needs_header = false;
 
         for (std::size_t i = 1; i < lines.size(); ++i) {
-          Json record;
+          bool parsed = false;
           try {
-            record = Json::parse(lines[i]);
+            const Json record = Json::parse(lines[i]);
+            parsed = true;
+            const std::int64_t task = record.at("task").as_int();
+            if (task < 0 || static_cast<std::uint64_t>(task) >= header.tasks) {
+              throw std::out_of_range{"task index " + std::to_string(task) + " outside [0, " +
+                                      std::to_string(header.tasks) + ")"};
+            }
+            // A "fail" record keeps nothing: the task re-runs on resume.
             const std::string status = record.at("status").as_string();
-            const auto index = static_cast<std::size_t>(record.at("task").as_int());
             if (status == "ok") {
-              payloads_[index] = record.at("payload");
+              payloads_[static_cast<std::size_t>(task)] = record.at("payload");
+            } else if (status != "fail") {
+              throw std::runtime_error{"unknown status '" + status + "'"};
             }
-            // status "fail": the task is re-run on resume — nothing to keep.
           } catch (const std::exception& e) {
-            if (i + 1 == lines.size()) {
-              // A crash mid-append leaves exactly one truncated final line;
-              // everything before it is intact, so resume from there. The
-              // partial line must be cut from the file too, or the next
-              // append would fuse onto it and corrupt the record.
-              std::fprintf(stderr,
-                           "journal %s: ignoring truncated final record (%s)\n",
-                           path.c_str(), e.what());
-              truncated_tail = true;
-              break;
+            // A crash mid-append leaves exactly one truncated final line,
+            // which cannot parse; everything before it is intact, so resume
+            // from there. Anything else — garbage mid-file, or a record
+            // that parses but makes no sense — is damage.
+            if (parsed || i + 1 < lines.size()) {
+              throw Error{ErrorCategory::kIo, "journal " + path + ": corrupt record on line " +
+                                                  std::to_string(i + 1) + ": " + e.what()};
             }
-            throw Error{ErrorCategory::kIo, "journal " + path + ": corrupt record on line " +
-                                                std::to_string(i + 1) + ": " + e.what()};
+            // The partial line must be cut from the file too, or the next
+            // append would fuse onto it and corrupt the record.
+            std::fprintf(stderr, "journal %s: ignoring truncated final record (%s)\n",
+                         path.c_str(), e.what());
+            truncated_tail = true;
           }
         }
         if (truncated_tail) {
@@ -430,305 +433,298 @@ void TaskJournal::append_line(const std::string& line) {
   std::fflush(out_);
 }
 
-// --- Payload serialization -------------------------------------------------
+// --- Payload codec -----------------------------------------------------------
+//
+// Each journaled type lists its fields once, in a fields(visitor, value)
+// overload. The Encoder visitor turns the list into a payload object, the
+// Decoder reads the same list back, so the two directions cannot drift.
 
 namespace {
 
-Json categories_to_json(const sim::EventCategoryCounts& counts) {
-  Json::Array out;
-  out.reserve(counts.size());
-  for (const std::uint64_t n : counts) out.emplace_back(static_cast<std::int64_t>(n));
-  return Json{std::move(out)};
+// A u64 the payload stores as a decimal string (JSON integers here are
+// int64): the chaos run's seed.
+struct DecimalU64 {
+  std::uint64_t& value;
+};
+
+// Label-encoded fields and the labels each accepts; decoding anything else
+// is a corrupt payload.
+constexpr DctcpMode kDctcpModes[] = {DctcpMode::kSafe, DctcpMode::kDegenerate,
+                                     DctcpMode::kCollapse};
+constexpr QueueMode kQueueModes[] = {QueueMode::kDropTail, QueueMode::kPfc, QueueMode::kTrim,
+                                     QueueMode::kCredit};
+// TailAttributionRow::pctl points at one of tail_attribution()'s literals.
+constexpr const char* kPercentiles[] = {"p50", "p99", "p999"};
+
+const auto& labels(DctcpMode) { return kDctcpModes; }
+const auto& labels(QueueMode) { return kQueueModes; }
+const auto& labels(const char*) { return kPercentiles; }
+const char* label(DctcpMode mode) { return to_string(mode); }
+const char* label(QueueMode mode) { return to_string(mode); }
+const char* label(const char* pctl) { return pctl; }
+
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type {};
+
+template <typename T>
+Json encode_object(const T& value);
+template <typename T>
+void decode_object(const Json& payload, T& value);
+
+template <typename T>
+Json encode(const T& value) {
+  if constexpr (std::is_same_v<T, bool> || std::is_floating_point_v<T>) {
+    return Json{value};
+  } else if constexpr (std::is_integral_v<T>) {
+    return Json{static_cast<std::int64_t>(value)};
+  } else if constexpr (std::is_same_v<T, sim::Time>) {
+    return Json{value.ns()};
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return Json{value};
+  } else if constexpr (std::is_same_v<T, DecimalU64>) {
+    return Json{std::to_string(value.value)};
+  } else if constexpr (std::is_same_v<T, sim::EventCategoryCounts>) {
+    Json::Array out;
+    for (const std::uint64_t n : value) out.emplace_back(static_cast<std::int64_t>(n));
+    return Json{std::move(out)};
+  } else if constexpr (IsVector<T>::value) {
+    Json::Array out;
+    for (const auto& element : value) out.push_back(encode_object(element));
+    return Json{std::move(out)};
+  } else {
+    return Json{label(value)};
+  }
 }
 
-sim::EventCategoryCounts categories_from_json(const Json& v) {
-  sim::EventCategoryCounts counts{};
-  const Json::Array& arr = v.as_array();
-  for (std::size_t i = 0; i < counts.size() && i < arr.size(); ++i) {
-    counts[i] = static_cast<std::uint64_t>(arr[i].as_int());
+template <typename T>
+void decode(const Json& json, const char* key, T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    value = json.as_bool();
+  } else if constexpr (std::is_integral_v<T>) {
+    value = static_cast<T>(json.as_int());
+  } else if constexpr (std::is_floating_point_v<T>) {
+    value = json.as_double();
+  } else if constexpr (std::is_same_v<T, sim::Time>) {
+    value = sim::Time::nanoseconds(json.as_int());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    value = json.as_string();
+  } else if constexpr (std::is_same_v<T, DecimalU64>) {
+    value.value = std::stoull(json.as_string());
+  } else if constexpr (std::is_same_v<T, sim::EventCategoryCounts>) {
+    // Lenient on length, so a journal survives a category being added.
+    const Json::Array& counts = json.as_array();
+    for (std::size_t i = 0; i < value.size() && i < counts.size(); ++i) {
+      value[i] = static_cast<std::uint64_t>(counts[i].as_int());
+    }
+  } else if constexpr (IsVector<T>::value) {
+    value.clear();
+    for (const Json& element : json.as_array()) decode_object(element, value.emplace_back());
+  } else {
+    const std::string& name = json.as_string();
+    for (const auto candidate : labels(value)) {
+      if (name == label(candidate)) {
+        value = candidate;
+        return;
+      }
+    }
+    throw Error{ErrorCategory::kIo,
+                std::string{"journal payload: unknown "} + key + " '" + name + "'"};
   }
-  return counts;
 }
 
-Json fct_rows_to_json(const std::vector<obs::TailAttributionRow>& rows) {
-  Json::Array arr;
-  arr.reserve(rows.size());
-  for (const obs::TailAttributionRow& row : rows) {
-    Json::Object o;
-    o["pctl"] = Json{std::string{row.pctl}};
-    o["flows"] = Json{static_cast<std::int64_t>(row.flows)};
-    const obs::FlowBreakdown& b = row.flow;
-    o["flow"] = Json{static_cast<std::int64_t>(b.flow)};
-    o["fct_ns"] = Json{b.fct_ns};
-    o["serialization_ns"] = Json{b.serialization_ns};
-    o["propagation_ns"] = Json{b.propagation_ns};
-    o["q_host_ns"] = Json{b.q_host_ns};
-    o["q_tor_ns"] = Json{b.q_tor_ns};
-    o["q_agg_ns"] = Json{b.q_agg_ns};
-    o["q_spine_ns"] = Json{b.q_spine_ns};
-    o["pfc_pause_ns"] = Json{b.pfc_pause_ns};
-    o["cwnd_limited_ns"] = Json{b.cwnd_limited_ns};
-    o["rto_wait_ns"] = Json{b.rto_wait_ns};
-    o["fast_recovery_ns"] = Json{b.fast_recovery_ns};
-    o["nack_recovery_ns"] = Json{b.nack_recovery_ns};
-    o["other_ns"] = Json{b.other_ns};
-    arr.emplace_back(std::move(o));
+struct Encoder {
+  Json::Object object;
+  template <typename T>
+  void operator()(const char* key, const T& value) {
+    object[key] = encode(value);
   }
-  return Json{std::move(arr)};
+};
+
+struct Decoder {
+  const Json& payload;
+  template <typename T>
+  void operator()(const char* key, T&& value) {
+    decode(payload.at(key), key, value);
+  }
+};
+
+// --- The field lists ---
+
+template <typename V>
+void fields(V& v, analysis::Burst& b) {
+  v("first_bin", b.first_bin);
+  v("num_bins", b.num_bins);
+  v("bytes", b.bytes);
+  v("marked_bytes", b.marked_bytes);
+  v("retx_bytes", b.retx_bytes);
+  v("max_active_flows", b.max_active_flows);
+  v("peak_queue_packets", b.peak_queue_packets);
 }
 
-std::vector<obs::TailAttributionRow> fct_rows_from_json(const Json& v) {
-  std::vector<obs::TailAttributionRow> rows;
-  for (const Json& rj : v.as_array()) {
-    obs::TailAttributionRow row;
-    // pctl is a static-string field; map the stored text back onto the same
-    // literals tail_attribution() emits.
-    const std::string pctl = rj.at("pctl").as_string();
-    row.pctl = pctl == "p50" ? "p50" : pctl == "p99" ? "p99" : pctl == "p999" ? "p999" : "";
-    row.flows = static_cast<int>(rj.at("flows").as_int());
-    obs::FlowBreakdown& b = row.flow;
-    b.flow = static_cast<std::uint64_t>(rj.at("flow").as_int());
-    b.fct_ns = rj.at("fct_ns").as_int();
-    b.serialization_ns = rj.at("serialization_ns").as_int();
-    b.propagation_ns = rj.at("propagation_ns").as_int();
-    b.q_host_ns = rj.at("q_host_ns").as_int();
-    b.q_tor_ns = rj.at("q_tor_ns").as_int();
-    b.q_agg_ns = rj.at("q_agg_ns").as_int();
-    b.q_spine_ns = rj.at("q_spine_ns").as_int();
-    b.pfc_pause_ns = rj.at("pfc_pause_ns").as_int();
-    b.cwnd_limited_ns = rj.at("cwnd_limited_ns").as_int();
-    b.rto_wait_ns = rj.at("rto_wait_ns").as_int();
-    b.fast_recovery_ns = rj.at("fast_recovery_ns").as_int();
-    b.nack_recovery_ns = rj.at("nack_recovery_ns").as_int();
-    b.other_ns = rj.at("other_ns").as_int();
-    rows.push_back(row);
-  }
-  return rows;
+template <typename V>
+void fields(V& v, obs::TailAttributionRow& row) {
+  v("pctl", row.pctl);
+  v("flows", row.flows);
+  obs::FlowBreakdown& b = row.flow;
+  v("flow", b.flow);
+  v("fct_ns", b.fct_ns);
+  v("serialization_ns", b.serialization_ns);
+  v("propagation_ns", b.propagation_ns);
+  v("q_host_ns", b.q_host_ns);
+  v("q_tor_ns", b.q_tor_ns);
+  v("q_agg_ns", b.q_agg_ns);
+  v("q_spine_ns", b.q_spine_ns);
+  v("pfc_pause_ns", b.pfc_pause_ns);
+  v("cwnd_limited_ns", b.cwnd_limited_ns);
+  v("rto_wait_ns", b.rto_wait_ns);
+  v("fast_recovery_ns", b.fast_recovery_ns);
+  v("nack_recovery_ns", b.nack_recovery_ns);
+  v("other_ns", b.other_ns);
+}
+
+// Carried by every simulated-run payload.
+template <typename V, typename Run>
+void run_fields(V& v, Run& r) {
+  v("events_processed", r.events_processed);
+  v("audit_violations", r.audit_violations);
+  v("queue_drops", r.queue_drops);
+}
+
+// The event-kernel telemetry fleet and faults payloads keep.
+template <typename V>
+void kernel_fields(V& v, RunCounters& c) {
+  v("events_by_category", c.events_by_category);
+  v("peak_events_pending", c.peak_events_pending);
+  v("slab_high_water", c.slab_high_water);
+}
+
+// Shared by the scaling and collateral grid points.
+template <typename V, typename Point>
+void grid_point_fields(V& v, Point& p) {
+  run_fields(v, p);
+  v("degree", p.degree);
+  v("fct_rows", p.fct_rows);
+  v("traced_flows", p.traced_flows);
+  v("flow_trace_incomplete", p.flow_trace_incomplete);
+  v("int_hop_overflows", p.int_hop_overflows);
+}
+
+template <typename V>
+void fields(V& v, HostTraceResult& r) {
+  run_fields(v, r);
+  kernel_fields(v, r);
+  v("host", r.host);
+  v("snapshot", r.snapshot);
+  v("alt_regime", r.alt_regime);
+  v("avg_utilization", r.avg_utilization);
+  v("generated_bursts", r.generated_bursts);
+  v("trace_seconds", r.summary.trace_seconds);
+  v("bursts", r.summary.bursts);
+}
+
+template <typename V>
+void fields(V& v, ResiliencePoint& p) {
+  IncastExperimentResult& r = p.result;
+  run_fields(v, r);
+  kernel_fields(v, r);
+  v("drop_rate", p.drop_rate);
+  v("flap_duration_ns", p.flap_duration);
+  v("goodput_rel", p.goodput_rel);
+  v("recovery_after_flap_ms", p.recovery_after_flap_ms);
+  v("mode", p.mode);
+  v("avg_bct_ms", r.avg_bct_ms);
+  v("max_bct_ms", r.max_bct_ms);
+  v("timeouts", r.timeouts);
+  v("fast_retransmits", r.fast_retransmits);
+  v("retransmitted_packets", r.retransmitted_packets);
+  v("injected_drops", r.injected_drops);
+  v("injected_corruptions", r.injected_corruptions);
+}
+
+template <typename V>
+void fields(V& v, ScalingPoint& p) {
+  grid_point_fields(v, p);
+  v("fct_ms", p.fct_ms);
+  v("optimal_ms", p.optimal_ms);
+  v("overhead_pct", p.overhead_pct);
+  v("completed_flows", p.completed_flows);
+  v("timeouts", p.timeouts);
+  v("retransmits", p.retransmits);
+  v("flow_state_bytes", p.flow_state_bytes);
+  v("packet_pool_bytes", p.packet_pool_bytes);
+  v("routing_bytes", p.routing_bytes);
+  v("event_bytes", p.event_bytes);
+  v("bytes_per_flow", p.bytes_per_flow);
+}
+
+template <typename V>
+void fields(V& v, CollateralPoint& p) {
+  grid_point_fields(v, p);
+  v("mode", p.mode);
+  v("victim_goodput_gbps", p.victim_goodput_gbps);
+  v("victim_delivered_bytes", p.victim_delivered_bytes);
+  v("victim_paused_ms", p.victim_paused_ms);
+  v("victim_retransmits", p.victim_retransmits);
+  v("victim_timeouts", p.victim_timeouts);
+  v("victim_nacks", p.victim_nacks);
+  v("incast_avg_bct_ms", p.incast_avg_bct_ms);
+  v("incast_max_bct_ms", p.incast_max_bct_ms);
+  v("incast_timeouts", p.incast_timeouts);
+  v("trimmed_packets", p.trimmed_packets);
+  v("trimmed_bytes", p.trimmed_bytes);
+  v("pfc_pause_frames", p.pfc_pause_frames);
+  v("pfc_resume_frames", p.pfc_resume_frames);
+  v("pfc_overflow_drops", p.pfc_overflow_drops);
+  v("incast_nacks", p.incast_nacks);
+}
+
+template <typename V>
+void fields(V& v, ChaosRunResult& r) {
+  v("description", r.description);
+  v("seed", DecimalU64{r.seed});
+  v("events_processed", r.events_processed);
+}
+
+template <typename T>
+Json encode_object(const T& value) {
+  Encoder encoder;
+  // The Encoder only reads; the field lists take a mutable value so one
+  // list serves both directions.
+  fields(encoder, const_cast<T&>(value));
+  return Json{std::move(encoder.object)};
+}
+
+template <typename T>
+void decode_object(const Json& payload, T& value) {
+  Decoder decoder{payload};
+  fields(decoder, value);
 }
 
 }  // namespace
 
-Json to_journal_payload(const HostTraceResult& result) {
-  Json::Object o;
-  o["host"] = Json{static_cast<std::int64_t>(result.host)};
-  o["snapshot"] = Json{static_cast<std::int64_t>(result.snapshot)};
-  o["alt_regime"] = Json{result.alt_regime};
-  o["avg_utilization"] = Json{result.avg_utilization};
-  o["queue_drops"] = Json{result.queue_drops};
-  o["generated_bursts"] = Json{result.generated_bursts};
-  o["events_processed"] = Json{static_cast<std::int64_t>(result.events_processed)};
-  o["events_by_category"] = categories_to_json(result.events_by_category);
-  o["peak_events_pending"] = Json{static_cast<std::int64_t>(result.peak_events_pending)};
-  o["slab_high_water"] = Json{static_cast<std::int64_t>(result.slab_high_water)};
-  o["audit_violations"] = Json{static_cast<std::int64_t>(result.audit_violations)};
-  o["trace_seconds"] = Json{result.summary.trace_seconds};
-  Json::Array bursts;
-  bursts.reserve(result.summary.bursts.size());
-  for (const analysis::Burst& b : result.summary.bursts) {
-    Json::Object bo;
-    bo["first_bin"] = Json{static_cast<std::int64_t>(b.first_bin)};
-    bo["num_bins"] = Json{static_cast<std::int64_t>(b.num_bins)};
-    bo["bytes"] = Json{b.bytes};
-    bo["marked_bytes"] = Json{b.marked_bytes};
-    bo["retx_bytes"] = Json{b.retx_bytes};
-    bo["max_active_flows"] = Json{static_cast<std::int64_t>(b.max_active_flows)};
-    bo["peak_queue_packets"] = Json{b.peak_queue_packets};
-    bursts.emplace_back(std::move(bo));
-  }
-  o["bursts"] = Json{std::move(bursts)};
-  return Json{std::move(o)};
+template <typename T>
+Json to_journal_payload(const T& value) {
+  return encode_object(value);
 }
 
-HostTraceResult host_trace_from_payload(const Json& payload) {
-  HostTraceResult r;
-  r.host = static_cast<int>(payload.at("host").as_int());
-  r.snapshot = static_cast<int>(payload.at("snapshot").as_int());
-  r.alt_regime = payload.at("alt_regime").as_bool();
-  r.avg_utilization = payload.at("avg_utilization").as_double();
-  r.queue_drops = payload.at("queue_drops").as_int();
-  r.generated_bursts = payload.at("generated_bursts").as_int();
-  r.events_processed = static_cast<std::uint64_t>(payload.at("events_processed").as_int());
-  r.events_by_category = categories_from_json(payload.at("events_by_category"));
-  r.peak_events_pending =
-      static_cast<std::uint64_t>(payload.at("peak_events_pending").as_int());
-  r.slab_high_water = static_cast<std::uint64_t>(payload.at("slab_high_water").as_int());
-  r.audit_violations = static_cast<std::uint64_t>(payload.at("audit_violations").as_int());
-  r.summary.trace_seconds = payload.at("trace_seconds").as_double();
-  for (const Json& bj : payload.at("bursts").as_array()) {
-    analysis::Burst b;
-    b.first_bin = static_cast<std::size_t>(bj.at("first_bin").as_int());
-    b.num_bins = static_cast<std::size_t>(bj.at("num_bins").as_int());
-    b.bytes = bj.at("bytes").as_int();
-    b.marked_bytes = bj.at("marked_bytes").as_int();
-    b.retx_bytes = bj.at("retx_bytes").as_int();
-    b.max_active_flows = static_cast<int>(bj.at("max_active_flows").as_int());
-    b.peak_queue_packets = bj.at("peak_queue_packets").as_int();
-    r.summary.bursts.push_back(b);
-  }
-  return r;
+template <typename T>
+T from_journal_payload(const Json& payload) {
+  T value{};
+  decode_object(payload, value);
+  return value;
 }
 
-Json to_journal_payload(const ResiliencePoint& point) {
-  Json::Object o;
-  o["drop_rate"] = Json{point.drop_rate};
-  o["flap_duration_ns"] = Json{point.flap_duration.ns()};
-  o["goodput_rel"] = Json{point.goodput_rel};
-  o["recovery_after_flap_ms"] = Json{point.recovery_after_flap_ms};
-  o["mode"] = Json{to_string(point.mode)};
-  const IncastExperimentResult& r = point.result;
-  o["avg_bct_ms"] = Json{r.avg_bct_ms};
-  o["max_bct_ms"] = Json{r.max_bct_ms};
-  o["timeouts"] = Json{r.timeouts};
-  o["fast_retransmits"] = Json{r.fast_retransmits};
-  o["retransmitted_packets"] = Json{r.retransmitted_packets};
-  o["queue_drops"] = Json{r.queue_drops};
-  o["injected_drops"] = Json{r.injected_drops};
-  o["injected_corruptions"] = Json{r.injected_corruptions};
-  o["events_processed"] = Json{static_cast<std::int64_t>(r.events_processed)};
-  o["events_by_category"] = categories_to_json(r.events_by_category);
-  o["peak_events_pending"] = Json{static_cast<std::int64_t>(r.peak_events_pending)};
-  o["slab_high_water"] = Json{static_cast<std::int64_t>(r.slab_high_water)};
-  o["audit_violations"] = Json{static_cast<std::int64_t>(r.audit_violations)};
-  return Json{std::move(o)};
-}
-
-ResiliencePoint resilience_point_from_payload(const Json& payload) {
-  ResiliencePoint p;
-  p.drop_rate = payload.at("drop_rate").as_double();
-  p.flap_duration = sim::Time::nanoseconds(payload.at("flap_duration_ns").as_int());
-  p.goodput_rel = payload.at("goodput_rel").as_double();
-  p.recovery_after_flap_ms = payload.at("recovery_after_flap_ms").as_double();
-  const std::string mode = payload.at("mode").as_string();
-  p.mode = mode == "collapse"  ? DctcpMode::kCollapse
-           : mode == "degenerate" ? DctcpMode::kDegenerate
-                                  : DctcpMode::kSafe;
-  IncastExperimentResult& r = p.result;
-  r.avg_bct_ms = payload.at("avg_bct_ms").as_double();
-  r.max_bct_ms = payload.at("max_bct_ms").as_double();
-  r.timeouts = payload.at("timeouts").as_int();
-  r.fast_retransmits = payload.at("fast_retransmits").as_int();
-  r.retransmitted_packets = payload.at("retransmitted_packets").as_int();
-  r.queue_drops = payload.at("queue_drops").as_int();
-  r.injected_drops = payload.at("injected_drops").as_int();
-  r.injected_corruptions = payload.at("injected_corruptions").as_int();
-  r.events_processed = static_cast<std::uint64_t>(payload.at("events_processed").as_int());
-  r.events_by_category = categories_from_json(payload.at("events_by_category"));
-  r.peak_events_pending =
-      static_cast<std::uint64_t>(payload.at("peak_events_pending").as_int());
-  r.slab_high_water = static_cast<std::uint64_t>(payload.at("slab_high_water").as_int());
-  r.audit_violations = static_cast<std::uint64_t>(payload.at("audit_violations").as_int());
-  return p;
-}
-
-Json to_journal_payload(const ScalingPoint& point) {
-  Json::Object o;
-  o["degree"] = Json{static_cast<std::int64_t>(point.degree)};
-  o["fct_ms"] = Json{point.fct_ms};
-  o["optimal_ms"] = Json{point.optimal_ms};
-  o["overhead_pct"] = Json{point.overhead_pct};
-  o["completed_flows"] = Json{static_cast<std::int64_t>(point.completed_flows)};
-  o["timeouts"] = Json{point.timeouts};
-  o["retransmits"] = Json{point.retransmits};
-  o["queue_drops"] = Json{point.queue_drops};
-  o["flow_state_bytes"] = Json{static_cast<std::int64_t>(point.flow_state_bytes)};
-  o["packet_pool_bytes"] = Json{static_cast<std::int64_t>(point.packet_pool_bytes)};
-  o["routing_bytes"] = Json{static_cast<std::int64_t>(point.routing_bytes)};
-  o["event_bytes"] = Json{static_cast<std::int64_t>(point.event_bytes)};
-  o["bytes_per_flow"] = Json{static_cast<std::int64_t>(point.bytes_per_flow)};
-  o["events_processed"] = Json{static_cast<std::int64_t>(point.events_processed)};
-  o["audit_violations"] = Json{static_cast<std::int64_t>(point.audit_violations)};
-  o["fct_rows"] = fct_rows_to_json(point.fct_rows);
-  o["traced_flows"] = Json{static_cast<std::int64_t>(point.traced_flows)};
-  o["flow_trace_incomplete"] = Json{static_cast<std::int64_t>(point.flow_trace_incomplete)};
-  o["int_hop_overflows"] = Json{point.int_hop_overflows};
-  return Json{std::move(o)};
-}
-
-ScalingPoint scaling_point_from_payload(const Json& payload) {
-  ScalingPoint p;
-  p.degree = static_cast<int>(payload.at("degree").as_int());
-  p.fct_ms = payload.at("fct_ms").as_double();
-  p.optimal_ms = payload.at("optimal_ms").as_double();
-  p.overhead_pct = payload.at("overhead_pct").as_double();
-  p.completed_flows = static_cast<int>(payload.at("completed_flows").as_int());
-  p.timeouts = payload.at("timeouts").as_int();
-  p.retransmits = payload.at("retransmits").as_int();
-  p.queue_drops = payload.at("queue_drops").as_int();
-  p.flow_state_bytes = static_cast<std::uint64_t>(payload.at("flow_state_bytes").as_int());
-  p.packet_pool_bytes = static_cast<std::uint64_t>(payload.at("packet_pool_bytes").as_int());
-  p.routing_bytes = static_cast<std::uint64_t>(payload.at("routing_bytes").as_int());
-  p.event_bytes = static_cast<std::uint64_t>(payload.at("event_bytes").as_int());
-  p.bytes_per_flow = static_cast<std::uint64_t>(payload.at("bytes_per_flow").as_int());
-  p.events_processed = static_cast<std::uint64_t>(payload.at("events_processed").as_int());
-  p.audit_violations = static_cast<std::uint64_t>(payload.at("audit_violations").as_int());
-  p.fct_rows = fct_rows_from_json(payload.at("fct_rows"));
-  p.traced_flows = static_cast<std::uint64_t>(payload.at("traced_flows").as_int());
-  p.flow_trace_incomplete =
-      static_cast<std::uint64_t>(payload.at("flow_trace_incomplete").as_int());
-  p.int_hop_overflows = payload.at("int_hop_overflows").as_int();
-  return p;
-}
-
-Json to_journal_payload(const CollateralPoint& point) {
-  Json::Object o;
-  o["mode"] = Json{to_string(point.mode)};
-  o["degree"] = Json{static_cast<std::int64_t>(point.degree)};
-  o["victim_goodput_gbps"] = Json{point.victim_goodput_gbps};
-  o["victim_delivered_bytes"] = Json{point.victim_delivered_bytes};
-  o["victim_paused_ms"] = Json{point.victim_paused_ms};
-  o["victim_retransmits"] = Json{point.victim_retransmits};
-  o["victim_timeouts"] = Json{point.victim_timeouts};
-  o["victim_nacks"] = Json{point.victim_nacks};
-  o["incast_avg_bct_ms"] = Json{point.incast_avg_bct_ms};
-  o["incast_max_bct_ms"] = Json{point.incast_max_bct_ms};
-  o["incast_timeouts"] = Json{point.incast_timeouts};
-  o["queue_drops"] = Json{point.queue_drops};
-  o["trimmed_packets"] = Json{point.trimmed_packets};
-  o["trimmed_bytes"] = Json{point.trimmed_bytes};
-  o["pfc_pause_frames"] = Json{point.pfc_pause_frames};
-  o["pfc_resume_frames"] = Json{point.pfc_resume_frames};
-  o["pfc_overflow_drops"] = Json{point.pfc_overflow_drops};
-  o["incast_nacks"] = Json{point.incast_nacks};
-  o["events_processed"] = Json{static_cast<std::int64_t>(point.events_processed)};
-  o["audit_violations"] = Json{static_cast<std::int64_t>(point.audit_violations)};
-  o["fct_rows"] = fct_rows_to_json(point.fct_rows);
-  o["traced_flows"] = Json{static_cast<std::int64_t>(point.traced_flows)};
-  o["flow_trace_incomplete"] = Json{static_cast<std::int64_t>(point.flow_trace_incomplete)};
-  o["int_hop_overflows"] = Json{point.int_hop_overflows};
-  return Json{std::move(o)};
-}
-
-CollateralPoint collateral_point_from_payload(const Json& payload) {
-  CollateralPoint p;
-  const std::string mode = payload.at("mode").as_string();
-  if (!parse_queue_mode(mode, p.mode)) {
-    throw Error{ErrorCategory::kIo, "journal payload: unknown queue mode " + mode};
-  }
-  p.degree = static_cast<int>(payload.at("degree").as_int());
-  p.victim_goodput_gbps = payload.at("victim_goodput_gbps").as_double();
-  p.victim_delivered_bytes = payload.at("victim_delivered_bytes").as_int();
-  p.victim_paused_ms = payload.at("victim_paused_ms").as_double();
-  p.victim_retransmits = payload.at("victim_retransmits").as_int();
-  p.victim_timeouts = payload.at("victim_timeouts").as_int();
-  p.victim_nacks = payload.at("victim_nacks").as_int();
-  p.incast_avg_bct_ms = payload.at("incast_avg_bct_ms").as_double();
-  p.incast_max_bct_ms = payload.at("incast_max_bct_ms").as_double();
-  p.incast_timeouts = payload.at("incast_timeouts").as_int();
-  p.queue_drops = payload.at("queue_drops").as_int();
-  p.trimmed_packets = payload.at("trimmed_packets").as_int();
-  p.trimmed_bytes = payload.at("trimmed_bytes").as_int();
-  p.pfc_pause_frames = payload.at("pfc_pause_frames").as_int();
-  p.pfc_resume_frames = payload.at("pfc_resume_frames").as_int();
-  p.pfc_overflow_drops = payload.at("pfc_overflow_drops").as_int();
-  p.incast_nacks = payload.at("incast_nacks").as_int();
-  p.events_processed = static_cast<std::uint64_t>(payload.at("events_processed").as_int());
-  p.audit_violations = static_cast<std::uint64_t>(payload.at("audit_violations").as_int());
-  p.fct_rows = fct_rows_from_json(payload.at("fct_rows"));
-  p.traced_flows = static_cast<std::uint64_t>(payload.at("traced_flows").as_int());
-  p.flow_trace_incomplete =
-      static_cast<std::uint64_t>(payload.at("flow_trace_incomplete").as_int());
-  p.int_hop_overflows = payload.at("int_hop_overflows").as_int();
-  return p;
-}
+template Json to_journal_payload(const HostTraceResult&);
+template HostTraceResult from_journal_payload<HostTraceResult>(const Json&);
+template Json to_journal_payload(const ResiliencePoint&);
+template ResiliencePoint from_journal_payload<ResiliencePoint>(const Json&);
+template Json to_journal_payload(const ScalingPoint&);
+template ScalingPoint from_journal_payload<ScalingPoint>(const Json&);
+template Json to_journal_payload(const CollateralPoint&);
+template CollateralPoint from_journal_payload<CollateralPoint>(const Json&);
+template Json to_journal_payload(const ChaosRunResult&);
+template ChaosRunResult from_journal_payload<ChaosRunResult>(const Json&);
 
 }  // namespace incast::core

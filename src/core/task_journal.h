@@ -32,6 +32,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/chaos.h"
 #include "core/collateral_experiment.h"
 #include "core/fleet_experiment.h"
 #include "core/json.h"
@@ -52,9 +53,11 @@ namespace incast::core {
 [[nodiscard]] std::string canonical_config(const ResilienceConfig& config);
 [[nodiscard]] std::string canonical_config(const ScalingConfig& config);
 [[nodiscard]] std::string canonical_config(const CollateralConfig& config);
+[[nodiscard]] std::string canonical_config(const ChaosConfig& config);
 
 struct JournalHeader {
-  std::string command;           // "fleet" | "faults" | "chaos"
+  // "fleet" | "faults" | "scaling" | "collateral" | "chaos"
+  std::string command;
   std::uint64_t fingerprint{0};  // fnv1a(canonical_config(...))
   std::uint64_t tasks{0};        // sweep size, a cheap second fingerprint
 };
@@ -69,8 +72,9 @@ class TaskJournal {
   // Opens `path` for append, first loading any records a previous run left
   // behind. Throws core::Error — kConfig when the existing header does not
   // match `header` (different command, config, or sweep size), kIo when the
-  // file exists but is unreadable/corrupt beyond a truncated final line, or
-  // cannot be created.
+  // file exists but is unreadable/corrupt beyond a truncated final line (a
+  // record naming a task outside [0, tasks) is corrupt), or cannot be
+  // created.
   void open(const std::string& path, const JournalHeader& header);
 
   [[nodiscard]] bool active() const noexcept { return out_ != nullptr; }
@@ -98,24 +102,21 @@ class TaskJournal {
   std::mutex mu_;
 };
 
-// Payload (de)serialization for the journaled subcommands. Payloads carry
-// every field the CLI reports or aggregates; deliberately excluded are the
-// bulky per-bin/per-sample series (bins, queue watermarks) — the one cell
-// whose series the CLI exports (fleet cell 0; the faults baseline) is
-// always re-run on resume, which reproduces them exactly.
-[[nodiscard]] Json to_journal_payload(const HostTraceResult& result);
-[[nodiscard]] HostTraceResult host_trace_from_payload(const Json& payload);
-
-[[nodiscard]] Json to_journal_payload(const ResiliencePoint& point);
-[[nodiscard]] ResiliencePoint resilience_point_from_payload(const Json& payload);
-
-// Scaling/collateral payloads carry every CSV column plus the tail-autopsy
-// percentile rows.
-[[nodiscard]] Json to_journal_payload(const ScalingPoint& point);
-[[nodiscard]] ScalingPoint scaling_point_from_payload(const Json& payload);
-
-[[nodiscard]] Json to_journal_payload(const CollateralPoint& point);
-[[nodiscard]] CollateralPoint collateral_point_from_payload(const Json& payload);
+// Payload codec for the journaled types: HostTraceResult (fleet),
+// ResiliencePoint (faults), ScalingPoint, CollateralPoint and
+// ChaosRunResult. Each type lists its fields once, in one visitor that both
+// encodes and decodes (task_journal.cc), so journaling a new type takes one
+// field list. Payloads carry every field the CLI reports or aggregates;
+// deliberately excluded are the bulky per-bin/per-sample series (bins,
+// queue watermarks) — the one cell whose series the CLI exports (fleet cell
+// 0; the faults baseline) is always re-run on resume, which reproduces them
+// exactly — and, for scaling and collateral, the sweep telemetry (event
+// categories, kernel footprint). Decoding throws std::runtime_error on a
+// missing key or wrong JSON type and core::Error (kIo) on an unknown label.
+template <typename T>
+[[nodiscard]] Json to_journal_payload(const T& value);
+template <typename T>
+[[nodiscard]] T from_journal_payload(const Json& payload);
 
 }  // namespace incast::core
 

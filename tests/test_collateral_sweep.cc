@@ -62,10 +62,15 @@ TEST(CollateralSweepDeterminism, EventCategoryCountsSumToEventsProcessed) {
     EXPECT_GT(task.events, 0u) << core::to_string(report.points[i].mode);
     EXPECT_EQ(categorized, task.events) << core::to_string(report.points[i].mode);
     EXPECT_EQ(categorized, report.points[i].events_processed);
+    // The event-kernel footprint reaches the sweep stats like the profile.
+    EXPECT_GT(task.slab_high_water, 0u);
+    EXPECT_EQ(task.slab_high_water, report.points[i].slab_high_water);
+    EXPECT_EQ(task.peak_events_pending, report.points[i].peak_events_pending);
   }
   std::uint64_t total = 0;
   for (const std::uint64_t n : report.sweep.events_by_category) total += n;
   EXPECT_EQ(total, report.sweep.total_events);
+  EXPECT_GT(report.sweep.slab_high_water, 0u);
 }
 
 TEST(CollateralSweepDeterminism, EveryModeRunsCleanUnderTheStrictAuditor) {

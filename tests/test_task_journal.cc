@@ -10,10 +10,12 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/chaos.h"
 #include "core/error.h"
 #include "core/fleet_experiment.h"
 #include "core/json.h"
@@ -259,6 +261,39 @@ TEST(TaskJournal, RefusesCorruptMidFileRecord) {
   std::remove(path.c_str());
 }
 
+TEST(TaskJournal, RefusesOutOfRangeTaskIndex) {
+  // An "ok" record naming a task outside [0, tasks) would inflate
+  // completed_count() ("resuming, 5/4"); it is a corrupt record even as the
+  // final line, because it parses.
+  for (const std::int64_t bad : {std::int64_t{-1}, std::int64_t{4}}) {
+    const std::string path = temp_path("journal_out_of_range.jsonl");
+    {
+      TaskJournal j;
+      j.open(path, test_header());
+      j.record_ok(0, 1, payload_with(0));
+    }
+    {
+      Json::Object record;
+      record["status"] = Json{"ok"};
+      record["task"] = Json{bad};
+      record["seed"] = Json{"1"};
+      record["payload"] = payload_with(1);
+      std::ofstream out{path, std::ios::app};
+      out << Json{std::move(record)}.dump() << '\n';
+    }
+    TaskJournal j;
+    try {
+      j.open(path, test_header());
+      FAIL() << "expected core::Error for task " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kIo) << e.what();
+      EXPECT_NE(std::string{e.what()}.find("outside [0, 4)"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(exit_code(ErrorCategory::kIo), 3);
+    std::remove(path.c_str());
+  }
+}
+
 TEST(TaskJournal, RecordOkOnCompletedIndexIsNoOp) {
   const std::string path = temp_path("journal_noop.jsonl");
   {
@@ -280,7 +315,31 @@ TEST(TaskJournal, RecordOkOnCompletedIndexIsNoOp) {
 
 // --- Payload round-trips ---
 
-TEST(TaskJournal, HostTraceResultPayloadRoundTrips) {
+// Fully populated fixtures, one per journaled type; the round-trip and the
+// compatibility tests share them.
+obs::TailAttributionRow row_fixture(const char* pctl, int flows) {
+  obs::TailAttributionRow row;
+  row.pctl = pctl;
+  row.flows = flows;
+  obs::FlowBreakdown& b = row.flow;
+  b.flow = 12345;
+  b.fct_ns = 12'625'000;
+  b.serialization_ns = 1'000'000;
+  b.propagation_ns = 30'000;
+  b.q_host_ns = 5'000;
+  b.q_tor_ns = 9'000'000;
+  b.q_agg_ns = 7'000;
+  b.q_spine_ns = 11'000;
+  b.pfc_pause_ns = 13'000;
+  b.cwnd_limited_ns = 17'000;
+  b.rto_wait_ns = 2'000'000;
+  b.fast_recovery_ns = 19'000;
+  b.nack_recovery_ns = 23'000;
+  b.other_ns = 400'000;
+  return row;
+}
+
+HostTraceResult host_trace_fixture() {
   HostTraceResult r;
   r.host = 3;
   r.snapshot = 2;
@@ -289,6 +348,7 @@ TEST(TaskJournal, HostTraceResultPayloadRoundTrips) {
   r.queue_drops = 17;
   r.generated_bursts = 42;
   r.events_processed = 123456789;
+  r.events_by_category = {100, 200, 300, 400};
   r.peak_events_pending = 512;
   r.slab_high_water = 1024;
   r.audit_violations = 1;
@@ -302,27 +362,10 @@ TEST(TaskJournal, HostTraceResultPayloadRoundTrips) {
   b.peak_queue_packets = 77;
   r.summary.bursts.push_back(b);
   r.summary.trace_seconds = 0.25;
-
-  // Through a real serialize -> dump -> parse -> deserialize cycle.
-  const HostTraceResult back =
-      host_trace_from_payload(Json::parse(to_journal_payload(r).dump()));
-  EXPECT_EQ(back.host, r.host);
-  EXPECT_EQ(back.snapshot, r.snapshot);
-  EXPECT_EQ(back.alt_regime, r.alt_regime);
-  EXPECT_DOUBLE_EQ(back.avg_utilization, r.avg_utilization);
-  EXPECT_EQ(back.queue_drops, r.queue_drops);
-  EXPECT_EQ(back.generated_bursts, r.generated_bursts);
-  EXPECT_EQ(back.events_processed, r.events_processed);
-  EXPECT_EQ(back.peak_events_pending, r.peak_events_pending);
-  EXPECT_EQ(back.slab_high_water, r.slab_high_water);
-  EXPECT_EQ(back.audit_violations, r.audit_violations);
-  ASSERT_EQ(back.summary.bursts.size(), 1u);
-  EXPECT_EQ(back.summary.bursts[0].bytes, b.bytes);
-  EXPECT_EQ(back.summary.bursts[0].peak_queue_packets, b.peak_queue_packets);
-  EXPECT_DOUBLE_EQ(back.summary.trace_seconds, r.summary.trace_seconds);
+  return r;
 }
 
-TEST(TaskJournal, ResiliencePointPayloadRoundTrips) {
+ResiliencePoint resilience_fixture() {
   ResiliencePoint p;
   p.drop_rate = 0.001;
   p.flap_duration = 2_ms;
@@ -338,22 +381,14 @@ TEST(TaskJournal, ResiliencePointPayloadRoundTrips) {
   p.result.injected_drops = 19;
   p.result.injected_corruptions = 2;
   p.result.events_processed = 987654;
-
-  const ResiliencePoint back =
-      resilience_point_from_payload(Json::parse(to_journal_payload(p).dump()));
-  EXPECT_DOUBLE_EQ(back.drop_rate, p.drop_rate);
-  EXPECT_EQ(back.flap_duration.ns(), p.flap_duration.ns());
-  EXPECT_DOUBLE_EQ(back.goodput_rel, p.goodput_rel);
-  EXPECT_DOUBLE_EQ(back.recovery_after_flap_ms, p.recovery_after_flap_ms);
-  EXPECT_EQ(back.mode, DctcpMode::kCollapse);
-  EXPECT_DOUBLE_EQ(back.result.avg_bct_ms, p.result.avg_bct_ms);
-  EXPECT_EQ(back.result.timeouts, p.result.timeouts);
-  EXPECT_EQ(back.result.retransmitted_packets, p.result.retransmitted_packets);
-  EXPECT_EQ(back.result.injected_drops, p.result.injected_drops);
-  EXPECT_EQ(back.result.events_processed, p.result.events_processed);
+  p.result.events_by_category = {900000, 80000, 7000, 654};
+  p.result.peak_events_pending = 321;
+  p.result.slab_high_water = 4321;
+  p.result.audit_violations = 3;
+  return p;
 }
 
-TEST(TaskJournal, ScalingPointPayloadRoundTrips) {
+ScalingPoint scaling_fixture() {
   ScalingPoint p;
   p.degree = 512;
   p.fct_ms = 12.625;
@@ -373,22 +408,100 @@ TEST(TaskJournal, ScalingPointPayloadRoundTrips) {
   p.traced_flows = 256;
   p.flow_trace_incomplete = 2;
   p.int_hop_overflows = 5;
-  obs::TailAttributionRow row;
-  row.pctl = "p99";
-  row.flows = 256;
-  row.flow.flow = 12345;
-  row.flow.fct_ns = 12'625'000;
-  row.flow.serialization_ns = 1'000'000;
-  row.flow.q_tor_ns = 9'000'000;
-  row.flow.rto_wait_ns = 2'000'000;
-  row.flow.other_ns = 625'000;
-  p.fct_rows.push_back(row);
+  p.fct_rows.push_back(row_fixture("p99", 256));
   // The event-loop profile is sweep telemetry, not a result: it must NOT
   // survive the journal, so a replayed point reports zeros.
   p.events_by_category[static_cast<std::size_t>(sim::EventCategory::kNet)] = 90'000;
+  return p;
+}
+
+CollateralPoint collateral_fixture() {
+  CollateralPoint p;
+  p.mode = QueueMode::kTrim;
+  p.degree = 128;
+  p.victim_goodput_gbps = 9.25;
+  p.victim_delivered_bytes = 1'000'000'000;
+  p.victim_paused_ms = 0.75;
+  p.victim_retransmits = 12;
+  p.victim_timeouts = 1;
+  p.victim_nacks = 34;
+  p.incast_avg_bct_ms = 4.5;
+  p.incast_max_bct_ms = 8.125;
+  p.incast_timeouts = 9;
+  p.queue_drops = 100;
+  p.trimmed_packets = 5000;
+  p.trimmed_bytes = 7'000'000;
+  p.pfc_pause_frames = 6;
+  p.pfc_resume_frames = 5;
+  p.pfc_overflow_drops = 4;
+  p.incast_nacks = 4900;
+  p.events_processed = 123'123;
+  p.audit_violations = 7;
+  p.traced_flows = 64;
+  p.flow_trace_incomplete = 1;
+  p.int_hop_overflows = 2;
+  p.fct_rows.push_back(row_fixture("p50", 64));
+  p.fct_rows.push_back(row_fixture("p999", 64));
+  return p;
+}
+
+ChaosRunResult chaos_fixture() {
+  ChaosRunResult r;
+  r.description = "burst cc=dctcp qmode=trim flows=12";
+  r.seed = 18446744073709551557ULL;
+  r.events_processed = 4242;
+  return r;
+}
+
+TEST(TaskJournal, HostTraceResultPayloadRoundTrips) {
+  const HostTraceResult r = host_trace_fixture();
+  const analysis::Burst& b = r.summary.bursts[0];
+
+  // Through a real serialize -> dump -> parse -> deserialize cycle.
+  const HostTraceResult back =
+      from_journal_payload<HostTraceResult>(Json::parse(to_journal_payload(r).dump()));
+  EXPECT_EQ(back.host, r.host);
+  EXPECT_EQ(back.snapshot, r.snapshot);
+  EXPECT_EQ(back.alt_regime, r.alt_regime);
+  EXPECT_DOUBLE_EQ(back.avg_utilization, r.avg_utilization);
+  EXPECT_EQ(back.queue_drops, r.queue_drops);
+  EXPECT_EQ(back.generated_bursts, r.generated_bursts);
+  EXPECT_EQ(back.events_processed, r.events_processed);
+  EXPECT_EQ(back.events_by_category, r.events_by_category);
+  EXPECT_EQ(back.peak_events_pending, r.peak_events_pending);
+  EXPECT_EQ(back.slab_high_water, r.slab_high_water);
+  EXPECT_EQ(back.audit_violations, r.audit_violations);
+  ASSERT_EQ(back.summary.bursts.size(), 1u);
+  EXPECT_EQ(back.summary.bursts[0].bytes, b.bytes);
+  EXPECT_EQ(back.summary.bursts[0].peak_queue_packets, b.peak_queue_packets);
+  EXPECT_DOUBLE_EQ(back.summary.trace_seconds, r.summary.trace_seconds);
+}
+
+TEST(TaskJournal, ResiliencePointPayloadRoundTrips) {
+  const ResiliencePoint p = resilience_fixture();
+
+  const ResiliencePoint back =
+      from_journal_payload<ResiliencePoint>(Json::parse(to_journal_payload(p).dump()));
+  EXPECT_DOUBLE_EQ(back.drop_rate, p.drop_rate);
+  EXPECT_EQ(back.flap_duration.ns(), p.flap_duration.ns());
+  EXPECT_DOUBLE_EQ(back.goodput_rel, p.goodput_rel);
+  EXPECT_DOUBLE_EQ(back.recovery_after_flap_ms, p.recovery_after_flap_ms);
+  EXPECT_EQ(back.mode, DctcpMode::kCollapse);
+  EXPECT_DOUBLE_EQ(back.result.avg_bct_ms, p.result.avg_bct_ms);
+  EXPECT_EQ(back.result.timeouts, p.result.timeouts);
+  EXPECT_EQ(back.result.retransmitted_packets, p.result.retransmitted_packets);
+  EXPECT_EQ(back.result.injected_drops, p.result.injected_drops);
+  EXPECT_EQ(back.result.events_processed, p.result.events_processed);
+  EXPECT_EQ(back.result.events_by_category, p.result.events_by_category);
+  EXPECT_EQ(back.result.slab_high_water, p.result.slab_high_water);
+}
+
+TEST(TaskJournal, ScalingPointPayloadRoundTrips) {
+  const ScalingPoint p = scaling_fixture();
+  const obs::TailAttributionRow& row = p.fct_rows[0];
 
   const ScalingPoint back =
-      scaling_point_from_payload(Json::parse(to_journal_payload(p).dump()));
+      from_journal_payload<ScalingPoint>(Json::parse(to_journal_payload(p).dump()));
   EXPECT_EQ(back.degree, p.degree);
   EXPECT_DOUBLE_EQ(back.fct_ms, p.fct_ms);
   EXPECT_DOUBLE_EQ(back.optimal_ms, p.optimal_ms);
@@ -419,39 +532,11 @@ TEST(TaskJournal, ScalingPointPayloadRoundTrips) {
 }
 
 TEST(TaskJournal, CollateralPointPayloadRoundTrips) {
-  CollateralPoint p;
-  p.mode = QueueMode::kTrim;
-  p.degree = 128;
-  p.victim_goodput_gbps = 9.25;
-  p.victim_delivered_bytes = 1'000'000'000;
-  p.victim_paused_ms = 0.75;
-  p.victim_retransmits = 12;
-  p.victim_timeouts = 1;
-  p.victim_nacks = 34;
-  p.incast_avg_bct_ms = 4.5;
-  p.incast_max_bct_ms = 8.125;
-  p.incast_timeouts = 9;
-  p.queue_drops = 100;
-  p.trimmed_packets = 5000;
-  p.trimmed_bytes = 7'000'000;
-  p.pfc_pause_frames = 0;
-  p.pfc_resume_frames = 0;
-  p.pfc_overflow_drops = 0;
-  p.incast_nacks = 4900;
-  p.events_processed = 123'123;
-  p.audit_violations = 0;
-  p.traced_flows = 64;
-  p.flow_trace_incomplete = 0;
-  p.int_hop_overflows = 2;
-  obs::TailAttributionRow row;
-  row.pctl = "p999";
-  row.flows = 64;
-  row.flow.fct_ns = 8'125'000;
-  row.flow.nack_recovery_ns = 4'000'000;
-  p.fct_rows.push_back(row);
+  const CollateralPoint p = collateral_fixture();
+  const obs::TailAttributionRow& row = p.fct_rows[1];
 
   const CollateralPoint back =
-      collateral_point_from_payload(Json::parse(to_journal_payload(p).dump()));
+      from_journal_payload<CollateralPoint>(Json::parse(to_journal_payload(p).dump()));
   EXPECT_EQ(back.mode, QueueMode::kTrim);
   EXPECT_EQ(back.degree, p.degree);
   EXPECT_DOUBLE_EQ(back.victim_goodput_gbps, p.victim_goodput_gbps);
@@ -466,12 +551,120 @@ TEST(TaskJournal, CollateralPointPayloadRoundTrips) {
   EXPECT_EQ(back.queue_drops, p.queue_drops);
   EXPECT_EQ(back.trimmed_packets, p.trimmed_packets);
   EXPECT_EQ(back.trimmed_bytes, p.trimmed_bytes);
+  EXPECT_EQ(back.pfc_pause_frames, p.pfc_pause_frames);
   EXPECT_EQ(back.incast_nacks, p.incast_nacks);
   EXPECT_EQ(back.events_processed, p.events_processed);
   EXPECT_EQ(back.int_hop_overflows, p.int_hop_overflows);
-  ASSERT_EQ(back.fct_rows.size(), 1u);
-  EXPECT_STREQ(back.fct_rows[0].pctl, "p999");
-  EXPECT_EQ(back.fct_rows[0].flow.nack_recovery_ns, row.flow.nack_recovery_ns);
+  ASSERT_EQ(back.fct_rows.size(), 2u);
+  EXPECT_STREQ(back.fct_rows[0].pctl, "p50");
+  EXPECT_STREQ(back.fct_rows[1].pctl, "p999");
+  EXPECT_EQ(back.fct_rows[1].flow.nack_recovery_ns, row.flow.nack_recovery_ns);
+}
+
+TEST(TaskJournal, ChaosRunResultPayloadRoundTrips) {
+  const ChaosRunResult r = chaos_fixture();
+  const ChaosRunResult back =
+      from_journal_payload<ChaosRunResult>(Json::parse(to_journal_payload(r).dump()));
+  EXPECT_EQ(back.description, r.description);
+  EXPECT_EQ(back.seed, r.seed);  // above INT64_MAX: survives as a decimal string
+  EXPECT_EQ(back.events_processed, r.events_processed);
+}
+
+// --- Strict label decoding: an unknown enum label is a corrupt payload ---
+
+Json with_field(Json payload, const std::string& key, Json value) {
+  Json::Object o = payload.as_object();
+  o[key] = std::move(value);
+  return Json{std::move(o)};
+}
+
+void expect_io_error(const std::function<void()>& decode) {
+  try {
+    decode();
+    FAIL() << "expected core::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kIo) << e.what();
+  }
+}
+
+TEST(TaskJournal, RejectsUnknownResilienceMode) {
+  const Json bogus = with_field(to_journal_payload(resilience_fixture()), "mode", Json{"meltdown"});
+  expect_io_error([&] { (void)from_journal_payload<ResiliencePoint>(bogus); });
+}
+
+TEST(TaskJournal, RejectsUnknownQueueMode) {
+  const Json bogus = with_field(to_journal_payload(collateral_fixture()), "mode", Json{"lossy"});
+  expect_io_error([&] { (void)from_journal_payload<CollateralPoint>(bogus); });
+}
+
+TEST(TaskJournal, RejectsUnknownPercentileLabel) {
+  Json row = to_journal_payload(scaling_fixture()).at("fct_rows").as_array()[0];
+  row = with_field(row, "pctl", Json{"p42"});
+  const Json bogus =
+      with_field(to_journal_payload(scaling_fixture()), "fct_rows", Json{Json::Array{row}});
+  expect_io_error([&] { (void)from_journal_payload<ScalingPoint>(bogus); });
+}
+
+// --- Compatibility: journals written before the codec was rewritten must
+// --- keep resuming, so every key, JSON type and number format is pinned.
+
+TEST(TaskJournalCompat, DefaultConfigFingerprintsArePinned) {
+  EXPECT_EQ(fnv1a(canonical_config(FleetConfig{})), 0x08aff65e563ea76aULL);
+  EXPECT_EQ(fnv1a(canonical_config(ResilienceConfig{})), 0x82d8ba8e60c6a8ddULL);
+  EXPECT_EQ(fnv1a(canonical_config(ScalingConfig{})), 0x6acb067d1ccd8b2bULL);
+  EXPECT_EQ(fnv1a(canonical_config(CollateralConfig{})), 0x764f019933440a0dULL);
+  EXPECT_EQ(fnv1a(canonical_config(ChaosConfig{})), 0xbddb6a4febae5958ULL);
+}
+
+TEST(TaskJournalCompat, PayloadBytesArePinned) {
+  const std::string row =
+      R"("cwnd_limited_ns":17000,"fast_recovery_ns":19000,"fct_ns":12625000,"flow":12345,)";
+  const std::string breakdown =
+      R"("pfc_pause_ns":13000,"propagation_ns":30000,"q_agg_ns":7000,"q_host_ns":5000,)"
+      R"("q_spine_ns":11000,"q_tor_ns":9000000,"rto_wait_ns":2000000,)"
+      R"("serialization_ns":1000000})";
+  EXPECT_EQ(to_journal_payload(host_trace_fixture()).dump(),
+            R"({"alt_regime":true,"audit_violations":1,"avg_utilization":0.3125,)"
+            R"("bursts":[{"bytes":100000,"first_bin":5,"marked_bytes":5000,)"
+            R"("max_active_flows":9,"num_bins":3,"peak_queue_packets":77,"retx_bytes":120}],)"
+            R"("events_by_category":[100,200,300,400,0,0],"events_processed":123456789,)"
+            R"("generated_bursts":42,"host":3,"peak_events_pending":512,"queue_drops":17,)"
+            R"("slab_high_water":1024,"snapshot":2,"trace_seconds":0.25})");
+  EXPECT_EQ(to_journal_payload(resilience_fixture()).dump(),
+            R"({"audit_violations":3,"avg_bct_ms":3.25,"drop_rate":0.001,)"
+            R"("events_by_category":[900000,80000,7000,654,0,0],"events_processed":987654,)"
+            R"("fast_retransmits":11,"flap_duration_ns":2000000,"goodput_rel":0.875,)"
+            R"("injected_corruptions":2,"injected_drops":19,"max_bct_ms":9.5,)"
+            R"("mode":"collapse","peak_events_pending":321,"queue_drops":7,)"
+            R"("recovery_after_flap_ms":1.5,"retransmitted_packets":23,)"
+            R"("slab_high_water":4321,"timeouts":4})");
+  EXPECT_EQ(to_journal_payload(scaling_fixture()).dump(),
+            R"({"audit_violations":1,"bytes_per_flow":6523,"completed_flows":512,)"
+            R"("degree":512,"event_bytes":40000,"events_processed":777777,"fct_ms":12.625,)"
+            R"("fct_rows":[{)" + row +
+                R"("flows":256,"nack_recovery_ns":23000,"other_ns":400000,"pctl":"p99",)" +
+                breakdown +
+                R"(],"flow_state_bytes":1000000,"flow_trace_incomplete":2,)"
+                R"("int_hop_overflows":5,"optimal_ms":3.5,"overhead_pct":260.70999999999998,)"
+                R"("packet_pool_bytes":2000000,"queue_drops":88,"retransmits":91,)"
+                R"("routing_bytes":300000,"timeouts":3,"traced_flows":256})");
+  EXPECT_EQ(to_journal_payload(collateral_fixture()).dump(),
+            R"({"audit_violations":7,"degree":128,"events_processed":123123,"fct_rows":[{)" +
+                row + R"("flows":64,"nack_recovery_ns":23000,"other_ns":400000,"pctl":"p50",)" +
+                breakdown + ",{" + row +
+                R"("flows":64,"nack_recovery_ns":23000,"other_ns":400000,"pctl":"p999",)" +
+                breakdown +
+                R"(],"flow_trace_incomplete":1,"incast_avg_bct_ms":4.5,)"
+                R"("incast_max_bct_ms":8.125,"incast_nacks":4900,"incast_timeouts":9,)"
+                R"("int_hop_overflows":2,"mode":"trim","pfc_overflow_drops":4,)"
+                R"("pfc_pause_frames":6,"pfc_resume_frames":5,"queue_drops":100,)"
+                R"("traced_flows":64,"trimmed_bytes":7000000,"trimmed_packets":5000,)"
+                R"("victim_delivered_bytes":1000000000,"victim_goodput_gbps":9.25,)"
+                R"("victim_nacks":34,"victim_paused_ms":0.75,"victim_retransmits":12,)"
+                R"("victim_timeouts":1})");
+  EXPECT_EQ(to_journal_payload(chaos_fixture()).dump(),
+            R"({"description":"burst cc=dctcp qmode=trim flows=12","events_processed":4242,)"
+            R"("seed":"18446744073709551557"})");
 }
 
 TEST(TaskJournalFingerprint, ScalingCoversResultKnobsNotJobs) {
@@ -584,7 +777,7 @@ TEST(SweepJournalResume, KilledSweepResumesByteIdentical) {
       cfg.resume = [&](std::size_t index, HostTraceResult& out) {
         const Json* payload = journal.payload(index);
         if (payload == nullptr) return false;
-        out = host_trace_from_payload(*payload);
+        out = from_journal_payload<HostTraceResult>(*payload);
         replayed.fetch_add(1);
         return true;
       };
@@ -607,7 +800,7 @@ TEST(SweepJournalResume, KilledSweepResumesByteIdentical) {
       cfg.resume = [&](std::size_t index, HostTraceResult& out) {
         const Json* payload = journal.payload(index);
         if (payload == nullptr) return false;
-        out = host_trace_from_payload(*payload);
+        out = from_journal_payload<HostTraceResult>(*payload);
         return true;
       };
       const auto replay = FleetExperiment{cfg}.run_all();
@@ -663,7 +856,7 @@ TEST(SweepJournalResume, ScalingLadderResumesByteIdenticalAcrossJobs) {
     resumed_cfg.resume = [&](std::size_t index, ScalingPoint& out) {
       const Json* payload = journal.payload(index);
       if (payload == nullptr) return false;
-      out = scaling_point_from_payload(*payload);
+      out = from_journal_payload<ScalingPoint>(*payload);
       ++replayed;
       return true;
     };

@@ -151,8 +151,10 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/burst_detector.h"
@@ -196,15 +198,22 @@ int usage() {
   return 2;
 }
 
-std::optional<tcp::CcAlgorithm> parse_cc(const std::string& name) {
-  if (name == "dctcp") return tcp::CcAlgorithm::kDctcp;
-  if (name == "reno") return tcp::CcAlgorithm::kReno;
-  if (name == "reno-ecn") return tcp::CcAlgorithm::kRenoEcn;
-  if (name == "cubic") return tcp::CcAlgorithm::kCubic;
-  if (name == "swift") return tcp::CcAlgorithm::kSwift;
-  if (name == "hpcc") return tcp::CcAlgorithm::kHpcc;
-  if (name == "dcqcn") return tcp::CcAlgorithm::kDcqcn;
-  return std::nullopt;
+// Maps the value of --<flag> onto its congestion control; an unknown name
+// prints an error and returns false.
+bool parse_cc(const std::string& name, const char* flag, tcp::CcAlgorithm& out) {
+  static constexpr std::pair<const char*, tcp::CcAlgorithm> kNames[] = {
+      {"dctcp", tcp::CcAlgorithm::kDctcp}, {"reno", tcp::CcAlgorithm::kReno},
+      {"reno-ecn", tcp::CcAlgorithm::kRenoEcn}, {"cubic", tcp::CcAlgorithm::kCubic},
+      {"swift", tcp::CcAlgorithm::kSwift}, {"hpcc", tcp::CcAlgorithm::kHpcc},
+      {"dcqcn", tcp::CcAlgorithm::kDcqcn}};
+  for (const auto& [known, cc] : kNames) {
+    if (name == known) {
+      out = cc;
+      return true;
+    }
+  }
+  std::fprintf(stderr, "error: unknown --%s '%s'\n", flag, name.c_str());
+  return false;
 }
 
 // Validates strictly: unknown flags and out-of-range values are errors, not
@@ -226,6 +235,34 @@ std::vector<std::string> split_list(const std::string& csv) {
     start = comma + 1;
   }
   return out;
+}
+
+// Parses a --degrees list of fan-ins in [1, 100000] into `out`; false after
+// printing an error.
+bool parse_degrees(const std::string& list, std::vector<int>& out) {
+  out.clear();
+  for (const auto& field : split_list(list)) {
+    char* end = nullptr;
+    const long v = std::strtol(field.c_str(), &end, 10);
+    if (end != field.c_str() + field.size() || v < 1 || v > 100'000) {
+      std::fprintf(stderr, "error: --degrees: bad fan-in '%s'\n", field.c_str());
+      return false;
+    }
+    out.push_back(static_cast<int>(v));
+  }
+  return true;
+}
+
+// Writes `contents` to `path`. Returns 0, or 3 (the documented file-I/O
+// exit code) after printing an error.
+int write_file(const std::string& path, const std::string& contents) {
+  std::ofstream out{path};
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return 3;
+  }
+  out << contents;
+  return 0;
 }
 
 // The observability flags shared by every simulation subcommand. Parsing
@@ -332,16 +369,20 @@ struct FlowTraceCli {
   // 3 (the documented file-I/O exit code) on failure.
   [[nodiscard]] int write_csv(const std::string& csv) const {
     if (out_path.empty()) return 0;
-    std::ofstream out{out_path};
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-      return 3;
-    }
-    out << csv;
+    if (const int rc = write_file(out_path, csv); rc != 0) return rc;
     std::printf("wrote flow-trace breakdown to %s\n", out_path.c_str());
     return 0;
   }
 };
+
+// A component's share of the flow's FCT, as printed in the tail-autopsy
+// tables.
+std::string fct_share(const obs::FlowBreakdown& f, std::int64_t ns) {
+  return f.fct_ns > 0 ? core::fmt(100.0 * static_cast<double>(ns) /
+                                      static_cast<double>(f.fct_ns),
+                                  1) + " %"
+                      : std::string{"-"};
+}
 
 // Full tail-autopsy table for the single-point subcommands: one row per
 // percentile, every component as its share of that flow's FCT.
@@ -358,12 +399,7 @@ void print_fct_attribution(const std::vector<obs::TailAttributionRow>& rows,
                  "pfc", "cwnd", "rto", "fast-rec", "nack-rec", "other"}};
   for (const auto& row : rows) {
     const obs::FlowBreakdown& f = row.flow;
-    const auto pct = [&f](std::int64_t ns) {
-      return f.fct_ns > 0 ? core::fmt(100.0 * static_cast<double>(ns) /
-                                          static_cast<double>(f.fct_ns),
-                                      1) + " %"
-                          : std::string{"-"};
-    };
+    const auto pct = [&f](std::int64_t ns) { return fct_share(f, ns); };
     t.add_row({row.pctl, core::fmt(static_cast<double>(f.fct_ns) / 1e6, 3) + " ms",
                pct(f.serialization_ns), pct(f.propagation_ns), pct(f.q_host_ns),
                pct(f.q_tor_ns), pct(f.q_agg_ns), pct(f.q_spine_ns), pct(f.pfc_pause_ns),
@@ -373,29 +409,34 @@ void print_fct_attribution(const std::vector<obs::TailAttributionRow>& rows,
   t.print();
 }
 
-// One p99 cause-share row for the grid subcommands' footer table ("where
-// did the p99 flow's time go at this point"). Queue tiers and wire time are
-// folded so a row stays readable across a whole mode x degree grid; points
-// with no traced flows contribute no row.
-void add_p99_row(core::Table& t, const std::string& mode, int degree,
-                 const std::vector<obs::TailAttributionRow>& rows) {
-  for (const auto& row : rows) {
-    if (std::strcmp(row.pctl, "p99") != 0) continue;
-    const obs::FlowBreakdown& f = row.flow;
-    const auto pct = [&f](std::int64_t ns) {
-      return f.fct_ns > 0 ? core::fmt(100.0 * static_cast<double>(ns) /
-                                          static_cast<double>(f.fct_ns),
-                                      1) + " %"
-                          : std::string{"-"};
-    };
-    const std::int64_t wire = f.serialization_ns + f.propagation_ns;
-    const std::int64_t queue = f.q_host_ns + f.q_tor_ns + f.q_agg_ns + f.q_spine_ns;
-    t.add_row({mode, std::to_string(degree),
-               core::fmt(static_cast<double>(f.fct_ns) / 1e6, 3) + " ms", pct(wire),
-               pct(queue), pct(f.pfc_pause_ns), pct(f.cwnd_limited_ns), pct(f.rto_wait_ns),
-               pct(f.fast_recovery_ns), pct(f.nack_recovery_ns), pct(f.other_ns)});
-    return;
+// The grid subcommands' p99 cause-share footer ("where did the p99 flow's
+// time go at this point"), one row per point that ran and traced flows.
+// Queue tiers and wire time are folded so a row stays readable across a
+// whole mode x degree grid.
+template <typename Report, typename ModeOf>
+void print_p99_table(const Report& report, const char* per, ModeOf mode_of) {
+  std::printf("\ntail autopsy: p99 cause shares per %s "
+              "(what fraction of the p99 flow's FCT each cause explains):\n",
+              per);
+  core::Table t{{"mode", "degree", "p99 FCT", "wire", "queue", "pfc", "cwnd", "rto",
+                 "fast-rec", "nack-rec", "other"}};
+  for (std::size_t i = 0; i < report.points.size(); ++i) {
+    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+    const auto& p = report.points[i];
+    for (const auto& row : p.fct_rows) {
+      if (std::strcmp(row.pctl, "p99") != 0) continue;
+      const obs::FlowBreakdown& f = row.flow;
+      const auto pct = [&f](std::int64_t ns) { return fct_share(f, ns); };
+      const std::int64_t wire = f.serialization_ns + f.propagation_ns;
+      const std::int64_t queue = f.q_host_ns + f.q_tor_ns + f.q_agg_ns + f.q_spine_ns;
+      t.add_row({mode_of(p), std::to_string(p.degree),
+                 core::fmt(static_cast<double>(f.fct_ns) / 1e6, 3) + " ms", pct(wire),
+                 pct(queue), pct(f.pfc_pause_ns), pct(f.cwnd_limited_ns), pct(f.rto_wait_ns),
+                 pct(f.fast_recovery_ns), pct(f.nack_recovery_ns), pct(f.other_ns)});
+      break;
+    }
   }
+  t.print();
 }
 
 // The run-hardening flags shared by every simulation subcommand: auditor
@@ -436,9 +477,53 @@ struct HardeningCli {
   }
 };
 
-// Printed after a signal-interrupted sweep so the operator knows the state
-// on disk is resumable, then the 128+signo exit happens in main().
-void print_resume_hint(const core::TaskJournal& journal) {
+// Every cross-cutting flag of a simulation subcommand, parsed and applied in
+// one place. The config decides which flags the subcommand takes: sweep
+// flags when it has a sweep policy, tail-autopsy flags when it traces
+// flows, hardening and observability flags always.
+struct RunCli {
+  HardeningCli hard;
+  FlowTraceCli ft;
+  ObsCli obs;
+
+  // Parses the flags `cfg` takes, rejects every flag left over, and applies
+  // them to `cfg` (the observed run of faults is its base config). Returns
+  // 0, or the exit code of a bad invocation.
+  template <typename Config>
+  int parse(core::CliArgs& args, Config& cfg) {
+    if (!hard.parse(args, requires { cfg.sweep; })) return 2;
+    if constexpr (requires { cfg.flow_trace; }) ft.parse(args);
+    if (!obs.parse(args)) return 2;
+    if (const int rc = finish(args); rc != 0) return rc;
+    if constexpr (requires { cfg.sweep; }) cfg.sweep = hard.policy();
+    if constexpr (requires { cfg.base; }) {
+      apply(cfg.base);
+    } else {
+      apply(cfg);
+    }
+    return 0;
+  }
+
+ private:
+  template <typename Run>
+  void apply(Run& cfg) const {
+    cfg.hub = obs.hub.get();
+    cfg.audit_mode = hard.audit_mode;
+    cfg.audit = hard.audit;
+    if constexpr (requires { cfg.flow_trace; }) {
+      cfg.flow_trace = ft.enabled;
+      cfg.flow_trace_sample_every = ft.sample_every;
+    }
+  }
+};
+
+// The sweep subcommands' footer: the sweep stats and, after a
+// signal-interrupted sweep, whether the state on disk is resumable (the
+// 128+signo exit happens in main()).
+void print_sweep_footer(const sim::SweepRunner::RunStats& stats,
+                        const core::TaskJournal& journal) {
+  std::printf("\n");
+  core::print_sweep_stats(stats);
   if (g_signal.load(std::memory_order_relaxed) == 0) return;
   if (journal.active()) {
     std::fprintf(stderr,
@@ -448,6 +533,48 @@ void print_resume_hint(const core::TaskJournal& journal) {
   } else {
     std::fprintf(stderr, "interrupted: no --journal, completed work is discarded\n");
   }
+}
+
+// The --journal wiring every sweep subcommand shares: opens (or resumes)
+// the journal at `path`, reports how much of the sweep it already holds
+// ("resuming, k/N <done>"), and binds the sweep's failure, resume and result
+// hooks to it. With `rerun_first`, task 0 never replays: it feeds the hub or
+// an export whose bytes are not journaled, and determinism makes its re-run
+// exact. Stored payloads are decoded up front, so a damaged one stops the
+// run (exit 3) before any simulation. No-op when `path` is empty.
+template <typename Result>
+void bind_journal(core::TaskJournal& journal, const std::string& path,
+                  const core::JournalHeader& header, const char* done, bool rerun_first,
+                  std::function<void(const sim::TaskFailure&)>& on_failure,
+                  core::ResumeHook<Result>& resume, core::ResultHook<Result>& on_result) {
+  if (path.empty()) return;
+  journal.open(path, header);
+  for (std::size_t i = 0; i < header.tasks; ++i) {
+    const core::Json* payload = journal.payload(i);
+    if (payload == nullptr) continue;
+    try {
+      (void)core::from_journal_payload<Result>(*payload);
+    } catch (const std::exception& e) {
+      throw core::Error{core::ErrorCategory::kIo, "journal " + path +
+                                                      ": corrupt payload for task " +
+                                                      std::to_string(i) + ": " + e.what()};
+    }
+  }
+  if (journal.completed_count() > 0) {
+    std::printf("journal %s: resuming, %zu/%llu %s\n", journal.path().c_str(),
+                journal.completed_count(), static_cast<unsigned long long>(header.tasks), done);
+  }
+  on_failure = [&journal](const sim::TaskFailure& f) { journal.record_failure(f); };
+  resume = [&journal, rerun_first](std::size_t index, Result& out) {
+    if (index == 0 && rerun_first) return false;
+    const core::Json* payload = journal.payload(index);
+    if (payload == nullptr) return false;
+    out = core::from_journal_payload<Result>(*payload);
+    return true;
+  };
+  on_result = [&journal](std::size_t index, std::uint64_t seed, const Result& r) {
+    journal.record_ok(index, seed, core::to_journal_payload(r));
+  };
 }
 
 // Shared between `burst` and `faults` so the two subcommands agree on every
@@ -464,13 +591,8 @@ bool parse_incast_config(core::CliArgs& args, core::IncastExperimentConfig& cfg,
   cfg.max_sim_time = args.time_or("max-sim-time", sim::Time::seconds(60), 1_ns);
 
   cc_name = args.get_or("cc", "dctcp");
-  const auto cc = parse_cc(cc_name);
-  if (!cc) {
-    std::fprintf(stderr, "error: unknown --cc '%s'\n", cc_name.c_str());
-    return false;
-  }
-  cfg.tcp.cc = *cc;
-  cfg.tcp.int_telemetry = *cc == tcp::CcAlgorithm::kHpcc;
+  if (!parse_cc(cc_name, "cc", cfg.tcp.cc)) return false;
+  cfg.tcp.int_telemetry = cfg.tcp.cc == tcp::CcAlgorithm::kHpcc;
   cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
   cfg.tcp.tail_loss_probe = args.bool_or("tlp", false);
   cfg.topology.switch_queue.capacity_packets = args.int_or("queue", 1333, 1, 10'000'000);
@@ -488,7 +610,9 @@ bool parse_incast_config(core::CliArgs& args, core::IncastExperimentConfig& cfg,
   return true;
 }
 
-void print_burst_table(const core::IncastExperimentResult& r) {
+// The metric rows the dumbbell and fabric incast results share.
+template <typename Result>
+core::Table burst_table(const Result& r) {
   core::Table t{{"metric", "value"}};
   t.add_row({"bursts completed", std::to_string(r.bursts.size())});
   t.add_row({"avg BCT (measured bursts)", core::fmt(r.avg_bct_ms, 2) + " ms"});
@@ -499,6 +623,11 @@ void print_burst_table(const core::IncastExperimentResult& r) {
   t.add_row({"drops", std::to_string(r.queue_drops)});
   t.add_row({"timeouts", std::to_string(r.timeouts)});
   t.add_row({"fast retransmits", std::to_string(r.fast_retransmits)});
+  return t;
+}
+
+void print_burst_table(const core::IncastExperimentResult& r) {
+  core::Table t = burst_table(r);
   t.add_row({"retransmitted packets", std::to_string(r.retransmitted_packets)});
   t.add_row({"end-of-burst cwnd mean", core::fmt(r.end_of_burst_cwnd_mean_mss, 2) + " MSS"});
   t.add_row({"end-of-burst cwnd max", core::fmt(r.end_of_burst_cwnd_max_mss, 2) + " MSS"});
@@ -509,31 +638,21 @@ int run_burst(core::CliArgs& args) {
   core::IncastExperimentConfig cfg;
   std::string cc_name;
   if (!parse_incast_config(args, cfg, cc_name)) return 2;
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/false)) return 2;
-  FlowTraceCli ft;
-  ft.parse(args);
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
-  cfg.hub = obs_cli.hub.get();
-  cfg.audit_mode = hard.audit_mode;
-  cfg.audit = hard.audit;
-  cfg.flow_trace = ft.enabled;
-  cfg.flow_trace_sample_every = ft.sample_every;
+  RunCli cli;
+  if (const int rc = cli.parse(args, cfg); rc != 0) return rc;
 
   std::printf("burst: %d x %s bursts of a %d-flow %s incast (seed %llu)\n",
               cfg.num_bursts, cfg.burst_duration.to_string().c_str(), cfg.num_flows,
               cc_name.c_str(), static_cast<unsigned long long>(cfg.seed));
   const auto r = core::run_incast_experiment(cfg);
   print_burst_table(r);
-  if (ft.enabled) {
+  if (cli.ft.enabled) {
     print_fct_attribution(r.fct_rows, r.flow_breakdowns.size(), r.flow_trace_incomplete);
     std::string csv = obs::fct_breakdown_csv_header();
     obs::append_fct_breakdown_csv(csv, "burst", cfg.num_flows, r.fct_rows);
-    if (const int rc = ft.write_csv(csv); rc != 0) return rc;
+    if (const int rc = cli.ft.write_csv(csv); rc != 0) return rc;
   }
-  return obs_cli.write_outputs();
+  return cli.obs.write_outputs();
 }
 
 int run_faults(core::CliArgs& args) {
@@ -584,42 +703,17 @@ int run_faults(core::CliArgs& args) {
   cfg.fault_template.ge_drop_bad = args.double_or("ge-loss-bad", 1.0, 0.0, 1.0);
   cfg.fault_template.ge_drop_good = args.double_or("ge-loss-good", 0.0, 0.0, 1.0);
   cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/true)) return 2;
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
   // Only the baseline is observed: sweep points run on worker threads and
   // must not share the hub (run_resilience_experiment nulls it for them).
-  cfg.base.hub = obs_cli.hub.get();
-  cfg.base.audit_mode = hard.audit_mode;
-  cfg.base.audit = hard.audit;
-  cfg.sweep = hard.policy();
+  RunCli cli;
+  if (const int rc = cli.parse(args, cfg); rc != 0) return rc;
 
   const std::size_t n_points = cfg.drop_rates.size() + cfg.flap_durations.size();
   core::TaskJournal journal;
-  if (!hard.journal_path.empty()) {
-    journal.open(hard.journal_path,
-                 {"faults", core::fnv1a(core::canonical_config(cfg)), n_points});
-    if (journal.completed_count() > 0) {
-      std::printf("journal %s: resuming, %zu/%zu point(s) already complete "
-                  "(the baseline always re-runs)\n",
-                  journal.path().c_str(), journal.completed_count(), n_points);
-    }
-    cfg.sweep.on_failure = [&journal](const sim::TaskFailure& f) {
-      journal.record_failure(f);
-    };
-    cfg.resume = [&journal](std::size_t index, core::ResiliencePoint& out) {
-      const core::Json* payload = journal.payload(index);
-      if (payload == nullptr) return false;
-      out = core::resilience_point_from_payload(*payload);
-      return true;
-    };
-    cfg.on_result = [&journal](std::size_t index, std::uint64_t seed,
-                               const core::ResiliencePoint& point) {
-      journal.record_ok(index, seed, core::to_journal_payload(point));
-    };
-  }
+  bind_journal(journal, cli.hard.journal_path,
+               {"faults", core::fnv1a(core::canonical_config(cfg)), n_points},
+               "point(s) already complete (the baseline always re-runs)", false,
+               cfg.sweep.on_failure, cfg.resume, cfg.on_result);
 
   std::printf("faults: %d-flow %s incast, baseline + %zu fault point(s) (seed %llu)\n",
               cfg.base.num_flows, cc_name.c_str(), n_points,
@@ -665,10 +759,8 @@ int run_faults(core::CliArgs& args) {
       break;
     }
   }
-  std::printf("\n");
-  core::print_sweep_stats(report.sweep);
-  print_resume_hint(journal);
-  return obs_cli.write_outputs();
+  print_sweep_footer(report.sweep, journal);
+  return cli.obs.write_outputs();
 }
 
 // Link names contain '.' and "->"; CSV filenames should not.
@@ -722,13 +814,8 @@ int run_fabric(core::CliArgs& args) {
   cfg.max_sim_time = args.time_or("max-sim-time", sim::Time::seconds(30), 1_ns);
 
   const std::string cc_name = args.get_or("cc", "dctcp");
-  const auto cc = parse_cc(cc_name);
-  if (!cc) {
-    std::fprintf(stderr, "error: unknown --cc '%s'\n", cc_name.c_str());
-    return 2;
-  }
-  cfg.tcp.cc = *cc;
-  cfg.tcp.int_telemetry = *cc == tcp::CcAlgorithm::kHpcc;
+  if (!parse_cc(cc_name, "cc", cfg.tcp.cc)) return 2;
+  cfg.tcp.int_telemetry = cfg.tcp.cc == tcp::CcAlgorithm::kHpcc;
   cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
   const std::string schedule = args.get_or("schedule", "completion");
   if (schedule != "completion" && schedule != "period") {
@@ -739,18 +826,8 @@ int run_fabric(core::CliArgs& args) {
                                       : workload::BurstSchedule::kAfterCompletion;
 
   const std::string telemetry_prefix = args.get_or("export-telemetry", "");
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/false)) return 2;
-  FlowTraceCli ft;
-  ft.parse(args);
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
-  cfg.hub = obs_cli.hub.get();
-  cfg.audit_mode = hard.audit_mode;
-  cfg.audit = hard.audit;
-  cfg.flow_trace = ft.enabled;
-  cfg.flow_trace_sample_every = ft.sample_every;
+  RunCli cli;
+  if (const int rc = cli.parse(args, cfg); rc != 0) return rc;
 
   const int num_leaves = cfg.fabric.num_pods * cfg.fabric.leaves_per_pod;
   const int uplinks = cfg.fabric.aggs_per_pod > 0 ? cfg.fabric.aggs_per_pod
@@ -775,16 +852,7 @@ int run_fabric(core::CliArgs& args) {
 
   const auto r = core::run_fabric_incast_experiment(cfg);
 
-  core::Table t{{"metric", "value"}};
-  t.add_row({"bursts completed", std::to_string(r.bursts.size())});
-  t.add_row({"avg BCT (measured bursts)", core::fmt(r.avg_bct_ms, 2) + " ms"});
-  t.add_row({"max BCT", core::fmt(r.max_bct_ms, 2) + " ms"});
-  t.add_row({"avg queue during bursts", core::fmt(r.avg_queue_packets, 1) + " pkts"});
-  t.add_row({"peak queue", core::fmt(r.peak_queue_packets, 0) + " pkts"});
-  t.add_row({"ECN-marked packets", core::fmt(r.marked_fraction() * 100, 1) + " %"});
-  t.add_row({"drops", std::to_string(r.queue_drops)});
-  t.add_row({"timeouts", std::to_string(r.timeouts)});
-  t.add_row({"fast retransmits", std::to_string(r.fast_retransmits)});
+  core::Table t = burst_table(r);
   t.add_row({"ECMP path changes", std::to_string(r.ecmp_path_changes)});
   t.add_row({"mode", core::to_string(r.mode)});
   t.add_row({"events processed", std::to_string(r.events_processed)});
@@ -830,13 +898,13 @@ int run_fabric(core::CliArgs& args) {
     std::printf("\nexported %d vantage trace(s) to %s*.csv\n", written,
                 telemetry_prefix.c_str());
   }
-  if (ft.enabled) {
+  if (cli.ft.enabled) {
     print_fct_attribution(r.fct_rows, r.flow_breakdowns.size(), r.flow_trace_incomplete);
     std::string csv = obs::fct_breakdown_csv_header();
     obs::append_fct_breakdown_csv(csv, "fabric", cfg.num_flows, r.fct_rows);
-    if (const int rc = ft.write_csv(csv); rc != 0) return rc;
+    if (const int rc = cli.ft.write_csv(csv); rc != 0) return rc;
   }
-  return obs_cli.write_outputs();
+  return cli.obs.write_outputs();
 }
 
 int run_fleet(core::CliArgs& args) {
@@ -866,48 +934,20 @@ int run_fleet(core::CliArgs& args) {
   }
   const std::string csv_path = args.get_or("export-csv", "");
   cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/true)) return 2;
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
   // The hub observes the (host 0, snapshot 0) cell only, so trace and
   // metrics output is byte-identical at any --jobs value.
-  cfg.hub = obs_cli.hub.get();
-  cfg.audit_mode = hard.audit_mode;
-  cfg.audit = hard.audit;
-  cfg.sweep = hard.policy();
+  RunCli cli;
+  if (const int rc = cli.parse(args, cfg); rc != 0) return rc;
 
   const auto n_cells =
       static_cast<std::size_t>(cfg.num_hosts) * static_cast<std::size_t>(cfg.num_snapshots);
+  // Cell 0 is the observed/exported cell: its Millisampler bins and any
+  // trace/metrics output are not journaled, so it always re-runs.
   core::TaskJournal journal;
-  if (!hard.journal_path.empty()) {
-    journal.open(hard.journal_path,
-                 {"fleet", core::fnv1a(core::canonical_config(cfg)), n_cells});
-    if (journal.completed_count() > 0) {
-      std::printf("journal %s: resuming, %zu/%zu cell(s) already complete "
-                  "(cell 0 always re-runs: it owns the exported trace)\n",
-                  journal.path().c_str(), journal.completed_count(), n_cells);
-    }
-    cfg.sweep.on_failure = [&journal](const sim::TaskFailure& f) {
-      journal.record_failure(f);
-    };
-    cfg.resume = [&journal](std::size_t index, core::HostTraceResult& out) {
-      // Cell 0 is the observed/exported cell: its Millisampler bins and any
-      // trace/metrics output are not journaled, so it re-runs (determinism
-      // makes the re-run free of surprises, and the grid's other N-1 cells
-      // are where the time goes).
-      if (index == 0) return false;
-      const core::Json* payload = journal.payload(index);
-      if (payload == nullptr) return false;
-      out = core::host_trace_from_payload(*payload);
-      return true;
-    };
-    cfg.on_result = [&journal](std::size_t index, std::uint64_t seed,
-                               const core::HostTraceResult& r) {
-      journal.record_ok(index, seed, core::to_journal_payload(r));
-    };
-  }
+  bind_journal(journal, cli.hard.journal_path,
+               {"fleet", core::fnv1a(core::canonical_config(cfg)), n_cells},
+               "cell(s) already complete (cell 0 always re-runs: it owns the exported trace)",
+               true, cfg.sweep.on_failure, cfg.resume, cfg.on_result);
 
   std::printf("fleet: %d host(s) x %d snapshot(s) of '%s', %s traces\n", cfg.num_hosts,
               cfg.num_snapshots, service.c_str(), cfg.trace_duration.to_string().c_str());
@@ -976,10 +1016,8 @@ int run_fleet(core::CliArgs& args) {
   t.add_row({"worst retx fraction", core::fmt(retx.max(), 2) + " %"});
   t.add_row({"ToR drops", std::to_string(drops)});
   t.print();
-  std::printf("\n");
-  core::print_sweep_stats(sweep);
-  print_resume_hint(journal);
-  return obs_cli.write_outputs();
+  print_sweep_footer(sweep, journal);
+  return cli.obs.write_outputs();
 }
 
 int run_collateral(core::CliArgs& args) {
@@ -995,16 +1033,7 @@ int run_collateral(core::CliArgs& args) {
     }
     cfg.modes.push_back(mode);
   }
-  cfg.degrees.clear();
-  for (const auto& field : split_list(args.get_or("degrees", "64"))) {
-    char* end = nullptr;
-    const long v = std::strtol(field.c_str(), &end, 10);
-    if (end != field.c_str() + field.size() || v < 1 || v > 100'000) {
-      std::fprintf(stderr, "error: --degrees: bad fan-in '%s'\n", field.c_str());
-      return 2;
-    }
-    cfg.degrees.push_back(static_cast<int>(v));
-  }
+  if (!parse_degrees(args.get_or("degrees", "64"), cfg.degrees)) return 2;
 
   cfg.num_bursts = static_cast<int>(args.int_or("bursts", 4, 1, 10'000));
   cfg.burst_duration = args.time_or("duration", 15_ms, 1_ns);
@@ -1027,62 +1056,23 @@ int run_collateral(core::CliArgs& args) {
   cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
   cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
 
-  const std::string cc_name = args.get_or("cc", "dctcp");
-  const auto cc = parse_cc(cc_name);
-  if (!cc) {
-    std::fprintf(stderr, "error: unknown --cc '%s'\n", cc_name.c_str());
+  if (!parse_cc(args.get_or("cc", "dctcp"), "cc", cfg.tcp.cc) ||
+      !parse_cc(args.get_or("pfc-cc", "dcqcn"), "pfc-cc", cfg.pfc_cc)) {
     return 2;
   }
-  cfg.tcp.cc = *cc;
-  const std::string pfc_cc_name = args.get_or("pfc-cc", "dcqcn");
-  const auto pfc_cc = parse_cc(pfc_cc_name);
-  if (!pfc_cc) {
-    std::fprintf(stderr, "error: unknown --pfc-cc '%s'\n", pfc_cc_name.c_str());
-    return 2;
-  }
-  cfg.pfc_cc = *pfc_cc;
 
   const std::string csv_path = args.get_or("export-csv", "");
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/true)) return 2;
-  FlowTraceCli ft;
-  ft.parse(args);
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
-  cfg.hub = obs_cli.hub.get();
-  cfg.audit_mode = hard.audit_mode;
-  cfg.audit = hard.audit;
-  cfg.sweep = hard.policy();
-  cfg.flow_trace = ft.enabled;
-  cfg.flow_trace_sample_every = ft.sample_every;
+  RunCli cli;
+  if (const int rc = cli.parse(args, cfg); rc != 0) return rc;
 
-  const std::size_t n_points = cfg.modes.size() * cfg.degrees.size();
+  // Point 0 feeds the hub when observability is on; its trace/metrics bytes
+  // are not journaled, so it re-runs.
   core::TaskJournal journal;
-  if (!hard.journal_path.empty()) {
-    journal.open(hard.journal_path,
-                 {"collateral", core::fnv1a(core::canonical_config(cfg)), n_points});
-    if (journal.completed_count() > 0) {
-      std::printf("journal %s: resuming, %zu/%zu point(s) already complete\n",
-                  journal.path().c_str(), journal.completed_count(), n_points);
-    }
-    cfg.sweep.on_failure = [&journal](const sim::TaskFailure& f) {
-      journal.record_failure(f);
-    };
-    cfg.resume = [&journal, hub = cfg.hub](std::size_t index, core::CollateralPoint& out) {
-      // Point 0 feeds the hub when observability is on; its trace/metrics
-      // bytes are not journaled, so it re-runs.
-      if (index == 0 && hub != nullptr) return false;
-      const core::Json* payload = journal.payload(index);
-      if (payload == nullptr) return false;
-      out = core::collateral_point_from_payload(*payload);
-      return true;
-    };
-    cfg.on_result = [&journal](std::size_t index, std::uint64_t seed,
-                               const core::CollateralPoint& p) {
-      journal.record_ok(index, seed, core::to_journal_payload(p));
-    };
-  }
+  bind_journal(journal, cli.hard.journal_path,
+               {"collateral", core::fnv1a(core::canonical_config(cfg)),
+                cfg.modes.size() * cfg.degrees.size()},
+               "point(s) already complete", cfg.hub != nullptr, cfg.sweep.on_failure,
+               cfg.resume, cfg.on_result);
 
   std::printf("collateral: victim flow vs %d x %s incast bursts, %zu mode(s) x %zu "
               "degree(s) (seed %llu)\n",
@@ -1107,52 +1097,30 @@ int run_collateral(core::CliArgs& args) {
   }
   t.print();
 
-  if (ft.enabled) {
-    std::printf("\ntail autopsy: p99 cause shares per point "
-                "(what fraction of the p99 flow's FCT each cause explains):\n");
-    core::Table ft_t{{"mode", "degree", "p99 FCT", "wire", "queue", "pfc", "cwnd", "rto",
-                      "fast-rec", "nack-rec", "other"}};
-    for (std::size_t i = 0; i < report.points.size(); ++i) {
-      if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
-      const auto& p = report.points[i];
-      add_p99_row(ft_t, core::to_string(p.mode), p.degree, p.fct_rows);
-    }
-    ft_t.print();
+  if (cli.ft.enabled) {
+    print_p99_table(report, "point",
+                    [](const core::CollateralPoint& p) { return core::to_string(p.mode); });
   }
 
-  std::printf("\n");
-  core::print_sweep_stats(report.sweep);
-  print_resume_hint(journal);
+  print_sweep_footer(report.sweep, journal);
 
-  if (ft.enabled) {
-    if (const int rc = ft.write_csv(core::collateral_fct_csv(report)); rc != 0) return rc;
+  if (cli.ft.enabled) {
+    if (const int rc = cli.ft.write_csv(core::collateral_fct_csv(report)); rc != 0) return rc;
   }
 
   if (!csv_path.empty()) {
-    std::ofstream out{csv_path};
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
-      return 3;
-    }
-    out << core::collateral_csv(report);
+    if (const int rc = write_file(csv_path, core::collateral_csv(report)); rc != 0) return rc;
     std::printf("wrote %zu point(s) to %s\n", report.points.size(), csv_path.c_str());
   }
-  return obs_cli.write_outputs();
+  return cli.obs.write_outputs();
 }
 
 int run_scaling(core::CliArgs& args) {
   core::ScalingConfig cfg;
 
-  cfg.degrees.clear();
-  const std::string default_degrees = "1,2,4,8,16,32,64,128,256,512,1024,2000,4000,8000";
-  for (const auto& field : split_list(args.get_or("degrees", default_degrees))) {
-    char* end = nullptr;
-    const long v = std::strtol(field.c_str(), &end, 10);
-    if (end != field.c_str() + field.size() || v < 1 || v > 100'000) {
-      std::fprintf(stderr, "error: --degrees: bad fan-in '%s'\n", field.c_str());
-      return 2;
-    }
-    cfg.degrees.push_back(static_cast<int>(v));
+  if (!parse_degrees(args.get_or("degrees", "1,2,4,8,16,32,64,128,256,512,1024,2000,4000,8000"),
+                     cfg.degrees)) {
+    return 2;
   }
 
   cfg.fabric.num_pods = static_cast<int>(args.int_or("pods", cfg.fabric.num_pods, 1, 64));
@@ -1170,55 +1138,19 @@ int run_scaling(core::CliArgs& args) {
   cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
   cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
 
-  const std::string cc_name = args.get_or("cc", "dctcp");
-  const auto cc = parse_cc(cc_name);
-  if (!cc) {
-    std::fprintf(stderr, "error: unknown --cc '%s'\n", cc_name.c_str());
-    return 2;
-  }
-  cfg.tcp.cc = *cc;
+  if (!parse_cc(args.get_or("cc", "dctcp"), "cc", cfg.tcp.cc)) return 2;
 
   const std::string csv_path = args.get_or("export-csv", "");
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/true)) return 2;
-  FlowTraceCli ft;
-  ft.parse(args);
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
-  cfg.hub = obs_cli.hub.get();
-  cfg.audit_mode = hard.audit_mode;
-  cfg.audit = hard.audit;
-  cfg.sweep = hard.policy();
-  cfg.flow_trace = ft.enabled;
-  cfg.flow_trace_sample_every = ft.sample_every;
+  RunCli cli;
+  if (const int rc = cli.parse(args, cfg); rc != 0) return rc;
 
+  // Point 0 feeds the hub when observability is on; its trace/metrics bytes
+  // are not journaled, so it re-runs.
   core::TaskJournal journal;
-  if (!hard.journal_path.empty()) {
-    journal.open(hard.journal_path, {"scaling", core::fnv1a(core::canonical_config(cfg)),
-                                     cfg.degrees.size()});
-    if (journal.completed_count() > 0) {
-      std::printf("journal %s: resuming, %zu/%zu degree(s) already complete\n",
-                  journal.path().c_str(), journal.completed_count(), cfg.degrees.size());
-    }
-    cfg.sweep.on_failure = [&journal](const sim::TaskFailure& f) {
-      journal.record_failure(f);
-    };
-    cfg.resume = [&journal, hub = cfg.hub](std::size_t index, core::ScalingPoint& out) {
-      // Point 0 feeds the hub when observability is on; its trace/metrics
-      // bytes are not journaled, so it re-runs (the ladder's other points
-      // are where the time goes, and determinism makes the re-run exact).
-      if (index == 0 && hub != nullptr) return false;
-      const core::Json* payload = journal.payload(index);
-      if (payload == nullptr) return false;
-      out = core::scaling_point_from_payload(*payload);
-      return true;
-    };
-    cfg.on_result = [&journal](std::size_t index, std::uint64_t seed,
-                               const core::ScalingPoint& p) {
-      journal.record_ok(index, seed, core::to_journal_payload(p));
-    };
-  }
+  bind_journal(journal, cli.hard.journal_path,
+               {"scaling", core::fnv1a(core::canonical_config(cfg)), cfg.degrees.size()},
+               "degree(s) already complete", cfg.hub != nullptr, cfg.sweep.on_failure,
+               cfg.resume, cfg.on_result);
 
   const int hosts =
       cfg.fabric.num_pods * cfg.fabric.leaves_per_pod * cfg.fabric.hosts_per_leaf;
@@ -1243,37 +1175,21 @@ int run_scaling(core::CliArgs& args) {
   }
   t.print();
 
-  if (ft.enabled) {
-    std::printf("\ntail autopsy: p99 cause shares per degree "
-                "(what fraction of the p99 flow's FCT each cause explains):\n");
-    core::Table ft_t{{"mode", "degree", "p99 FCT", "wire", "queue", "pfc", "cwnd", "rto",
-                      "fast-rec", "nack-rec", "other"}};
-    for (std::size_t i = 0; i < report.points.size(); ++i) {
-      if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
-      const auto& p = report.points[i];
-      add_p99_row(ft_t, "scaling", p.degree, p.fct_rows);
-    }
-    ft_t.print();
+  if (cli.ft.enabled) {
+    print_p99_table(report, "degree", [](const core::ScalingPoint&) { return "scaling"; });
   }
 
-  std::printf("\n");
-  core::print_sweep_stats(report.sweep);
-  print_resume_hint(journal);
+  print_sweep_footer(report.sweep, journal);
 
-  if (ft.enabled) {
-    if (const int rc = ft.write_csv(core::scaling_fct_csv(report)); rc != 0) return rc;
+  if (cli.ft.enabled) {
+    if (const int rc = cli.ft.write_csv(core::scaling_fct_csv(report)); rc != 0) return rc;
   }
 
   if (!csv_path.empty()) {
-    std::ofstream out{csv_path};
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
-      return 3;
-    }
-    out << core::scaling_csv(report);
+    if (const int rc = write_file(csv_path, core::scaling_csv(report)); rc != 0) return rc;
     std::printf("wrote %zu point(s) to %s\n", report.points.size(), csv_path.c_str());
   }
-  return obs_cli.write_outputs();
+  return cli.obs.write_outputs();
 }
 
 int run_chaos(core::CliArgs& args) {
@@ -1289,36 +1205,10 @@ int run_chaos(core::CliArgs& args) {
   cfg.cancel = &g_cancel;
 
   core::TaskJournal journal;
-  if (!journal_path.empty()) {
-    // The chaos config is tiny; its canonical string is inlined here.
-    std::string canonical = "chaos|seed=" + std::to_string(cfg.seed) +
-                            "|configs=" + std::to_string(cfg.num_configs) +
-                            "|max_events=" + std::to_string(cfg.max_events_per_run);
-    journal.open(journal_path, {"chaos", core::fnv1a(canonical),
-                                static_cast<std::uint64_t>(cfg.num_configs)});
-    if (journal.completed_count() > 0) {
-      std::printf("journal %s: resuming, %zu/%d config(s) already survived\n",
-                  journal.path().c_str(), journal.completed_count(), cfg.num_configs);
-    }
-    cfg.on_failure = [&journal](const sim::TaskFailure& f) { journal.record_failure(f); };
-    cfg.resume = [&journal](std::size_t index, core::ChaosRunResult& out) {
-      const core::Json* payload = journal.payload(index);
-      if (payload == nullptr) return false;
-      out.description = payload->at("description").as_string();
-      out.seed = std::stoull(payload->at("seed").as_string());
-      out.events_processed =
-          static_cast<std::uint64_t>(payload->at("events_processed").as_int());
-      return true;
-    };
-    cfg.on_result = [&journal](std::size_t index, std::uint64_t seed,
-                               const core::ChaosRunResult& r) {
-      core::Json::Object o;
-      o["description"] = core::Json{r.description};
-      o["seed"] = core::Json{std::to_string(r.seed)};
-      o["events_processed"] = core::Json{static_cast<std::int64_t>(r.events_processed)};
-      journal.record_ok(index, seed, core::Json{std::move(o)});
-    };
-  }
+  bind_journal(journal, journal_path,
+               {"chaos", core::fnv1a(core::canonical_config(cfg)),
+                static_cast<std::uint64_t>(cfg.num_configs)},
+               "config(s) already survived", false, cfg.on_failure, cfg.resume, cfg.on_result);
 
   std::printf("chaos: %d random config(s), seed %llu, strict auditor, "
               "budget %llu events/run\n",
@@ -1337,9 +1227,7 @@ int run_chaos(core::CliArgs& args) {
                 static_cast<unsigned long long>(f.seed), sim::to_string(f.category),
                 f.message.c_str());
   }
-  std::printf("\n");
-  core::print_sweep_stats(report.sweep);
-  print_resume_hint(journal);
+  print_sweep_footer(report.sweep, journal);
 
   if (!report.sweep.failures.empty()) {
     std::fprintf(stderr, "chaos: %zu of %d config(s) violated an invariant or budget\n",
