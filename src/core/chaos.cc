@@ -188,9 +188,9 @@ ChaosReport run_chaos(const ChaosConfig& config) {
 
   ChaosReport report;
   report.runs = run_sweep<ChaosRunResult>(
-      static_cast<std::size_t>(config.num_configs), config.jobs, std::move(policy),
-      [&config](std::size_t index) { return chaos_run_seed(config, index); }, config.resume,
-      config.on_result,
+      static_cast<std::size_t>(config.num_configs),
+      {config.jobs, std::move(policy), config.resume, config.on_result},
+      [&config](std::size_t index) { return chaos_run_seed(config, index); },
       [&config](std::size_t, std::uint64_t seed) {
         // Kind mix: plain bursts, faulty bursts, fleet traces (1:2:1).
         sim::Rng kind_rng{seed};

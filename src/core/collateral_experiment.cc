@@ -154,7 +154,7 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
   sim::Simulator sim;
   // Flow sampling hashes the *base* seed (not this point's derived seed) so
   // every grid point samples the same flow ids.
-  ExperimentObserver run{sim, config, hub};
+  ExperimentObserver run{sim, config, hub, config.seed};
   sim.reserve_events(static_cast<std::size_t>(degree) * 8 + 4096);
 
   net::Dumbbell dumbbell{sim, make_topology(config, mode, degree)};
@@ -262,9 +262,8 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
 CollateralReport run_collateral_experiment(const CollateralConfig& config) {
   CollateralReport report;
   report.points = run_sweep<CollateralPoint>(
-      config.modes.size() * config.degrees.size(), config.jobs, config.sweep,
+      config.modes.size() * config.degrees.size(), config,
       [&config](std::size_t index) { return sim::derive_task_seed(config.seed, index); },
-      config.resume, config.on_result,
       [&config](std::size_t index, std::uint64_t seed) {
         // Only point 0 is observed: worker threads must not share the hub,
         // and pinning it to a fixed point keeps trace/metrics output

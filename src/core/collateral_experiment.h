@@ -37,7 +37,6 @@
 #include "net/pfc.h"
 #include "net/topology.h"
 #include "obs/flow_trace.h"
-#include "sim/auditor.h"
 #include "sim/sweep.h"
 #include "tcp/tcp_config.h"
 
@@ -55,7 +54,13 @@ enum class QueueMode { kDropTail, kPfc, kTrim, kCredit };
 
 struct CollateralPoint;
 
-struct CollateralConfig {
+// Hub, hardening and tail-autopsy knobs come from TracedRunOptions: only
+// point 0 attaches the hub, and flow sampling hashes the *base* seed, so the
+// same flow ids are traced at every grid point and breakdowns stay
+// comparable across modes/degrees. jobs, sweep policy and checkpoint/resume
+// hooks come from SweepOptions; results are ordered by point index
+// regardless of jobs.
+struct CollateralConfig : TracedRunOptions, SweepOptions<CollateralPoint> {
   // The sweep grid: every (mode, degree) pair is one simulation point,
   // mode-major (all degrees of modes[0] first).
   std::vector<QueueMode> modes{QueueMode::kDropTail, QueueMode::kPfc, QueueMode::kTrim,
@@ -117,28 +122,6 @@ struct CollateralConfig {
   tcp::CcAlgorithm pfc_cc{tcp::CcAlgorithm::kDcqcn};
 
   sim::Time max_sim_time{sim::Time::seconds(30)};
-
-  // Sweep execution (sim::SweepRunner): 1 = inline, <= 0 = all hardware
-  // threads. Results are ordered by point index regardless.
-  int jobs{1};
-  sim::SweepRunner::Policy sweep{};
-
-  // Observability: only point 0 attaches the hub (worker threads must not
-  // share it), so trace/metrics output is byte-identical at any --jobs.
-  obs::Hub* hub{nullptr};
-
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
-
-  // Tail autopsy (see IncastExperimentConfig::flow_trace). The sampling
-  // hash uses the *base* seed, so the same flow ids are sampled at every
-  // grid point and breakdowns stay comparable across modes/degrees.
-  bool flow_trace{false};
-  std::uint64_t flow_trace_sample_every{1};
-
-  // Checkpoint/resume hooks (see core/experiment_sweep.h).
-  ResumeHook<CollateralPoint> resume;
-  ResultHook<CollateralPoint> on_result;
 
   std::uint64_t seed{1};
 };

@@ -31,10 +31,10 @@ WindowCounters WindowCounters::read(const std::vector<tcp::TcpSender*>& senders,
   return c;
 }
 
-ExperimentObserver::ExperimentObserver(sim::Simulator& sim, const Options& options)
+ExperimentObserver::ExperimentObserver(sim::Simulator& sim, const RunOptions& options,
+                                       obs::Hub* hub)
     : sim_{sim} {
-  if (options.hub != nullptr) sim.set_hub(options.hub);
-  if (options.profile_event_loop) sim.set_profiling(true);
+  if (hub != nullptr) sim.set_hub(hub);
 #if INCAST_AUDIT_ENABLED
   // Relaxed mode only observes: results stay identical to an unaudited run.
   if (options.audit_mode != sim::AuditMode::kOff) {
@@ -44,16 +44,8 @@ ExperimentObserver::ExperimentObserver(sim::Simulator& sim, const Options& optio
     sim.set_auditor(&*auditor_);
   }
 #endif
-  // The hub is only a span side channel for the tracer: breakdowns are
-  // identical with or without it.
-  if (options.flow_trace) {
-    flow_tracer_.emplace(
-        obs::FlowTracer::Config{options.flow_trace_seed, options.flow_trace_sample_every},
-        options.hub);
-    sim.set_flow_tracer(&*flow_tracer_);
-  }
 
-  obs::Hub* hub = INCAST_OBS_HUB(sim);
+  hub = INCAST_OBS_HUB(sim);  // nullptr under -DINCAST_OBS=OFF
   if (hub == nullptr || !hub->enabled()) return;
   hub_ = hub;
   auto& m = hub->metrics();
@@ -101,6 +93,18 @@ ExperimentObserver::ExperimentObserver(sim::Simulator& sim, const Options& optio
                                    ": " + v.detail);
   });
 #endif
+}
+
+ExperimentObserver::ExperimentObserver(sim::Simulator& sim, const TracedRunOptions& options,
+                                       obs::Hub* hub, std::uint64_t flow_trace_seed)
+    : ExperimentObserver{sim, options, hub} {
+  // The hub is only a span side channel for the tracer (none under
+  // -DINCAST_OBS=OFF): breakdowns are identical with or without it.
+  if (options.flow_trace) {
+    flow_tracer_.emplace(
+        obs::FlowTracer::Config{flow_trace_seed, options.flow_trace_sample_every}, hub_);
+    sim.set_flow_tracer(&*flow_tracer_);
+  }
 }
 
 ExperimentObserver::~ExperimentObserver() {

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/run_options.h"
 #include "obs/flow_trace.h"
 #include "sim/auditor.h"
 #include "sim/event_category.h"
@@ -102,32 +103,14 @@ struct WindowCounters {
 
 class ExperimentObserver {
  public:
-  // The cross-cutting knobs of one run, copied from the driver's config.
-  struct Options {
-    // Borrowed observability hub; nullptr = unobserved run.
-    obs::Hub* hub{nullptr};
-    // Run hardening: kOff attaches no auditor; audit.strict is overridden
-    // from the mode. A no-op under -DINCAST_AUDIT=OFF.
-    sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-    sim::Auditor::Config audit{};
-    // Tail autopsy. The sampling hash uses `flow_trace_seed` — a sweep's
-    // base seed — so the same flow ids are traced at every point.
-    bool flow_trace{false};
-    std::uint64_t flow_trace_sample_every{1};
-    std::uint64_t flow_trace_seed{1};
-    // Event-loop wall-time self-profiler (Simulator::set_profiling).
-    bool profile_event_loop{false};
-  };
-
-  ExperimentObserver(sim::Simulator& sim, const Options& options);
-  // For a config naming the knobs as Options does (audit_mode, audit,
-  // flow_trace, flow_trace_sample_every), with its seed as the flow-trace
-  // seed and `hub` observing the run.
-  template <typename Config>
-  ExperimentObserver(sim::Simulator& sim, const Config& config, obs::Hub* hub)
-      : ExperimentObserver{sim, Options{hub, config.audit_mode, config.audit,
-                                        config.flow_trace, config.flow_trace_sample_every,
-                                        config.seed}} {}
+  // Attaches `hub` — the point's hub: options.hub, or nullptr for a sweep
+  // point other than the observed one — and the auditor `options` asks for.
+  ExperimentObserver(sim::Simulator& sim, const RunOptions& options, obs::Hub* hub);
+  // Also attaches the tail-autopsy FlowTracer when options.flow_trace is
+  // set. Its sampling hash uses `flow_trace_seed` — a sweep's base seed — so
+  // the same flow ids are traced at every point.
+  ExperimentObserver(sim::Simulator& sim, const TracedRunOptions& options, obs::Hub* hub,
+                     std::uint64_t flow_trace_seed);
   ~ExperimentObserver();
 
   ExperimentObserver(const ExperimentObserver&) = delete;

@@ -16,20 +16,10 @@
 #include <vector>
 
 #include "core/experiment_obs.h"
+#include "core/run_options.h"
 #include "sim/sweep.h"
 
 namespace incast::core {
-
-// Checkpoint/resume hooks a sweep config carries (the CLI binds them to a
-// core::TaskJournal; tests use them to fake a crash). `resume` is consulted
-// before a point runs: return true and fill `out` to skip its simulation.
-// `on_result` fires after every freshly run point, from the worker thread
-// that ran it, with the point's derived seed.
-template <typename Result>
-using ResumeHook = std::function<bool(std::size_t index, Result& out)>;
-template <typename Result>
-using ResultHook =
-    std::function<void(std::size_t index, std::uint64_t seed, const Result& result)>;
 
 // The counters a point reports to its TaskStats. Result types inheriting
 // RunCounters use this overload; others provide their own next to the type.
@@ -37,27 +27,27 @@ using ResultHook =
   return counters;
 }
 
-// Runs points [0, n) on `jobs` threads under `policy`, whose seed_of
-// defaults to `seed_of` (failure records carry the point's seed). A point
-// `resume` fills is replayed; any other runs as run(index, seed_of(index))
-// and is passed to `on_result`. Results come back in index order at any
-// `jobs`; `stats` receives the sweep's RunStats.
+// Runs points [0, n) on `options.jobs` threads under `options.sweep`, whose
+// seed_of defaults to `seed_of` (failure records carry the point's seed). A
+// point `options.resume` fills is replayed; any other runs as run(index,
+// seed_of(index)) and is passed to `options.on_result`. Results come back in
+// index order at any jobs value; `stats` receives the sweep's RunStats.
 template <typename Result, typename Run>
 [[nodiscard]] std::vector<Result> run_sweep(
-    std::size_t n, int jobs, sim::SweepRunner::Policy policy,
-    const std::function<std::uint64_t(std::size_t)>& seed_of,
-    const ResumeHook<Result>& resume, const ResultHook<Result>& on_result, Run&& run,
+    std::size_t n, const SweepOptions<Result>& options,
+    const std::function<std::uint64_t(std::size_t)>& seed_of, Run&& run,
     sim::SweepRunner::RunStats& stats) {
-  sim::SweepRunner runner{jobs};
+  sim::SweepRunner runner{options.jobs};
+  sim::SweepRunner::Policy policy = options.sweep;
   if (!policy.seed_of) policy.seed_of = seed_of;
   runner.set_policy(std::move(policy));
   std::vector<Result> results = runner.run<Result>(
       n, [&](std::size_t index, sim::SweepRunner::TaskStats& task) {
         Result result;
-        if (!resume || !resume(index, result)) {
+        if (!options.resume || !options.resume(index, result)) {
           const std::uint64_t seed = seed_of(index);
           result = run(index, seed);
-          if (on_result) on_result(index, seed, result);
+          if (options.on_result) options.on_result(index, seed, result);
         }
         const RunCounters& counters = run_counters(result);
         task.events = counters.events_processed;

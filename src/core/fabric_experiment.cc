@@ -76,7 +76,7 @@ std::vector<int> place_senders(const fabric::FatTreeConfig& fab, int num_flows,
 FabricIncastExperimentResult run_fabric_incast_experiment(
     const FabricIncastExperimentConfig& config) {
   sim::Simulator sim;
-  ExperimentObserver run{sim, config, config.hub};
+  ExperimentObserver run{sim, config, config.hub, config.seed};
   // Capacity hint: per-flow timers plus in-flight packets across the
   // fabric's extra hops (each hop adds serialization + propagation events).
   sim.reserve_events(static_cast<std::size_t>(config.num_flows) * 16 + 4096);

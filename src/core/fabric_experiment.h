@@ -23,6 +23,7 @@
 
 #include "core/incast_experiment.h"
 #include "core/resilience_experiment.h"
+#include "core/run_options.h"
 #include "fabric/fat_tree.h"
 #include "tcp/tcp_config.h"
 #include "telemetry/millisampler.h"
@@ -31,7 +32,8 @@
 
 namespace incast::core {
 
-struct FabricIncastExperimentConfig {
+// Hub, hardening and tail-autopsy knobs come from TracedRunOptions.
+struct FabricIncastExperimentConfig : TracedRunOptions {
   int num_flows{96};
 
   // kCrossRack spreads senders round-robin over every leaf except the
@@ -56,18 +58,6 @@ struct FabricIncastExperimentConfig {
 
   // Faults on arbitrary named fabric links (LinkDirectory names).
   std::vector<NamedLinkFault> link_faults{};
-
-  // Borrowed observability hub; nullptr = unobserved run (see
-  // IncastExperimentConfig::hub).
-  obs::Hub* hub{nullptr};
-
-  // Run-hardening (see IncastExperimentConfig::audit_mode).
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
-
-  // Tail autopsy (see IncastExperimentConfig::flow_trace).
-  bool flow_trace{false};
-  std::uint64_t flow_trace_sample_every{1};
 
   std::uint64_t seed{1};
 };

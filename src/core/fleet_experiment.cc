@@ -33,12 +33,8 @@ HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot) const {
   sim::Simulator sim;
   // The hub observes exactly one deterministic cell of the sweep grid, so
   // trace/metrics output is independent of --jobs.
-  ExperimentObserver run{
-      sim,
-      {.hub = host == 0 && snapshot == 0 ? config_.hub : nullptr,
-       .audit_mode = config_.audit_mode,
-       .audit = config_.audit,
-       .profile_event_loop = config_.profile_event_loop}};
+  sim.set_profiling(config_.profile_event_loop);
+  ExperimentObserver run{sim, config_, host == 0 && snapshot == 0 ? config_.hub : nullptr};
   const workload::ServiceProfile& profile = config_.profile;
   // Capacity hint: the generator keeps at most max_flows concurrent flows
   // (hosts x flows in the sweep sense), each with timers and in-flight data.
@@ -142,7 +138,7 @@ std::vector<HostTraceResult> FleetExperiment::run_all() const {
   return run_sweep<HostTraceResult>(
       static_cast<std::size_t>(config_.num_hosts) *
           static_cast<std::size_t>(config_.num_snapshots),
-      config_.jobs, config_.sweep, cell_seed, config_.resume, config_.on_result,
+      config_, cell_seed,
       [this](std::size_t index, std::uint64_t) {
         if (static_cast<int>(index) == config_.fail_cell_for_test) {
           throw std::runtime_error{"forced failure (fail_cell_for_test) at cell " +

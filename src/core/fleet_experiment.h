@@ -17,22 +17,23 @@
 
 #include "analysis/burst_detector.h"
 #include "core/experiment_sweep.h"
-#include "sim/auditor.h"
 #include "sim/event_category.h"
 #include "sim/sweep.h"
 #include "tcp/tcp_config.h"
 #include "workload/rack_contention.h"
 #include "workload/service_profile.h"
 
-namespace incast::obs {
-class Hub;
-}  // namespace incast::obs
-
 namespace incast::core {
 
 struct HostTraceResult;
 
-struct FleetConfig {
+// Hub and hardening knobs come from RunOptions: the hub is attached to
+// exactly one deterministic cell — (host 0, snapshot 0) — and every cell runs
+// under its own auditor. jobs, sweep policy and checkpoint/resume hooks come
+// from SweepOptions; each (host, snapshot) cell is an independent simulation
+// whose seed derives from (base_seed, cell index), so results are
+// byte-identical for every jobs value.
+struct FleetConfig : RunOptions, SweepOptions<HostTraceResult> {
   workload::ServiceProfile profile;
   int num_hosts{6};
   int num_snapshots{3};
@@ -68,39 +69,12 @@ struct FleetConfig {
 
   std::uint64_t base_seed{42};
 
-  // Worker threads for run_all(): each (host, snapshot) cell is an
-  // independent simulation, so the grid parallelizes freely. 1 = run
-  // inline (no pool); <= 0 = hardware_concurrency. Results are
-  // byte-identical for every value — seeds derive from (base_seed, cell
-  // index), never from scheduling.
-  int jobs{1};
-
   analysis::BurstDetectorConfig detector{};
 
-  // Borrowed observability hub. A fleet sweep runs many independent
-  // simulations, so the hub is attached to exactly one deterministic cell —
-  // (host 0, snapshot 0) — keeping trace and metrics output identical for
-  // every --jobs value. nullptr = unobserved.
-  obs::Hub* hub{nullptr};
   // Enable the event-loop wall-time self-profiler in every cell's
   // simulator. Costs two steady_clock reads per event; results (the
   // category histogram) land in HostTraceResult::wall_ns_by_category.
   bool profile_event_loop{false};
-
-  // Run-hardening (see sim/auditor.h): every cell runs under its own
-  // auditor with these budgets/bounds; audit.strict is overridden from
-  // audit_mode. kRelaxed (the default) never perturbs results.
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
-
-  // Fault-isolation policy for run_all() (sweep.seed_of is filled in by
-  // the experiment from the cell-seed derivation when unset). The default
-  // — fail_fast — reproduces the historical abort-on-first-error behavior.
-  sim::SweepRunner::Policy sweep{};
-
-  // Checkpoint/resume hooks (see core/experiment_sweep.h).
-  ResumeHook<HostTraceResult> resume;
-  ResultHook<HostTraceResult> on_result;
 
   // Test hook: the cell at this sweep index (snapshot * num_hosts + host)
   // throws instead of running, exercising the sweep layer's fault

@@ -11,7 +11,7 @@ namespace incast::core {
 
 IncastExperimentResult run_incast_experiment(const IncastExperimentConfig& config) {
   sim::Simulator sim;
-  ExperimentObserver run{sim, config, config.hub};
+  ExperimentObserver run{sim, config, config.hub, config.seed};
   // Capacity hint: each flow keeps a few timers armed plus its share of
   // packets in flight; the constant floor covers telemetry tickers and the
   // bottleneck queue's worth of delivery events.

@@ -15,18 +15,14 @@
 #include <vector>
 
 #include "core/experiment_obs.h"
+#include "core/run_options.h"
 #include "fault/fault_injector.h"
 #include "net/topology.h"
 #include "obs/flow_trace.h"
-#include "sim/auditor.h"
 #include "tcp/tcp_config.h"
 #include "telemetry/inflight_sampler.h"
 #include "telemetry/queue_monitor.h"
 #include "workload/cyclic_incast.h"
-
-namespace incast::obs {
-class Hub;
-}  // namespace incast::obs
 
 namespace incast::core {
 
@@ -57,7 +53,8 @@ struct FaultProfile {
   }
 };
 
-struct IncastExperimentConfig {
+// Hub, hardening and tail-autopsy knobs come from TracedRunOptions.
+struct IncastExperimentConfig : TracedRunOptions {
   int num_flows{100};
   sim::Time burst_duration{sim::Time::milliseconds(15)};
   int num_bursts{11};
@@ -81,29 +78,6 @@ struct IncastExperimentConfig {
 
   // Link faults on the inter-ToR link; disabled by default (strict no-op).
   FaultProfile faults{};
-
-  // Borrowed observability hub. When set, the run attaches it to the
-  // simulator before any component is built (senders and queues register
-  // metrics and trace into it), labels the bottleneck link for tracing, and
-  // snapshots the metrics registry at end of run. nullptr = unobserved run,
-  // byte-identical to the pre-observability behavior.
-  obs::Hub* hub{nullptr};
-
-  // Run-hardening (see sim/auditor.h): kRelaxed (default) counts invariant
-  // violations into the result without perturbing the run; kStrict aborts
-  // on the first violation; kOff attaches no auditor. `audit` carries the
-  // bounds, execution budgets and cancellation flag; its strict field is
-  // overridden from audit_mode. A no-op under -DINCAST_AUDIT=OFF.
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
-
-  // Tail autopsy (obs/flow_trace.h): attach a FlowTracer and decompose each
-  // sampled flow's FCT into serialization/propagation/per-tier queueing/
-  // stall classes. Sampling hashes (flow id, seed) so the decision is
-  // deterministic and jobs-invariant; 1 traces every flow. Disabled runs
-  // are byte-identical to pre-tracer behavior.
-  bool flow_trace{false};
-  std::uint64_t flow_trace_sample_every{1};
 
   std::uint64_t seed{1};
 };

@@ -64,9 +64,8 @@ ResilienceReport run_resilience_experiment(const ResilienceConfig& config) {
   // effect of the fault profile, not seed variance.
   const std::size_t drop_points = config.drop_rates.size();
   report.points = run_sweep<ResiliencePoint>(
-      drop_points + config.flap_durations.size(), config.jobs, config.sweep,
-      [seed = config.base.seed](std::size_t) { return seed; }, config.resume,
-      config.on_result,
+      drop_points + config.flap_durations.size(), config,
+      [seed = config.base.seed](std::size_t) { return seed; },
       [&](std::size_t index, std::uint64_t) {
         ResiliencePoint point;
         IncastExperimentConfig cfg = config.base;

@@ -56,7 +56,15 @@ struct ResiliencePoint {
   return point.result;
 }
 
-struct ResilienceConfig {
+// jobs, sweep policy and checkpoint/resume hooks come from SweepOptions; the
+// run knobs (hub, hardening) are the base experiment's. Every point is an
+// independent simulation sharing only the immutable base config, so the
+// report is identical for any jobs value. The baseline always runs first
+// (points need it for goodput normalization), is never part of the sweep,
+// and ignores the sweep policy: a baseline failure always aborts, because
+// every point's goodput is normalized against it. sweep.seed_of defaults to
+// the shared base seed (points deliberately reuse it; see run()).
+struct ResilienceConfig : SweepOptions<ResiliencePoint> {
   // Base experiment (flows, CC, queue, schedule, seed ...). Its `faults`
   // field is ignored; each sweep point installs its own profile.
   IncastExperimentConfig base{};
@@ -75,23 +83,6 @@ struct ResilienceConfig {
   // blackholed (both directions) at flap_at for that duration.
   std::vector<sim::Time> flap_durations{};
   sim::Time flap_at{sim::Time::milliseconds(30)};
-
-  // Worker threads for the sweep points (sim::SweepRunner). Every point is
-  // an independent simulation sharing only the immutable base config, so
-  // the report is identical for any value. 1 = inline; <= 0 =
-  // hardware_concurrency. The baseline always runs first (points need it
-  // for goodput normalization) and is never part of the sweep.
-  int jobs{1};
-
-  // Fault-isolation policy for the sweep points (sim::SweepRunner::Policy);
-  // the baseline ignores it — a baseline failure always aborts, because
-  // every point's goodput is normalized against it. seed_of defaults to the
-  // shared base seed (points deliberately reuse it; see run()).
-  sim::SweepRunner::Policy sweep{};
-
-  // Checkpoint/resume hooks (see core/experiment_sweep.h).
-  ResumeHook<ResiliencePoint> resume;
-  ResultHook<ResiliencePoint> on_result;
 };
 
 struct ResilienceReport {

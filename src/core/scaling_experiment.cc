@@ -33,7 +33,7 @@ ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
   sim::Simulator sim;
   // Flow sampling hashes the *base* seed (not this point's derived seed) so
   // the same flow ids are traced at every degree.
-  ExperimentObserver run{sim, config, hub};
+  ExperimentObserver run{sim, config, hub, config.seed};
 
   sim.reserve_events(static_cast<std::size_t>(degree) * 8 + 4096);
 
@@ -155,9 +155,8 @@ ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
 ScalingReport run_scaling_experiment(const ScalingConfig& config) {
   ScalingReport report;
   report.points = run_sweep<ScalingPoint>(
-      config.degrees.size(), config.jobs, config.sweep,
+      config.degrees.size(), config,
       [&config](std::size_t index) { return sim::derive_task_seed(config.seed, index); },
-      config.resume, config.on_result,
       [&config](std::size_t index, std::uint64_t seed) {
         // Only point 0 is observed: worker threads must not share the hub,
         // and pinning it to a fixed point keeps trace/metrics output

@@ -41,7 +41,6 @@
 #include "core/experiment_sweep.h"
 #include "fabric/fat_tree.h"
 #include "obs/flow_trace.h"
-#include "sim/auditor.h"
 #include "sim/sweep.h"
 #include "tcp/tcp_config.h"
 
@@ -53,7 +52,14 @@ namespace incast::core {
 
 struct ScalingPoint;
 
-struct ScalingConfig {
+// Hub, hardening and tail-autopsy knobs come from TracedRunOptions: only
+// point 0 attaches the hub, and flow sampling hashes the *base* seed, so the
+// same flow ids are traced at every degree and attribution rows stay
+// comparable along the ladder (at the 8000-sender end,
+// flow_trace_sample_every keeps the breakdown footprint bounded). jobs,
+// sweep policy and checkpoint/resume hooks come from SweepOptions; results
+// are ordered by degree index regardless of jobs.
+struct ScalingConfig : TracedRunOptions, SweepOptions<ScalingPoint> {
   // Incast degrees to sweep, one simulation point each. The default ladder
   // spans the full htsim range; CI runs a {64, 512, 2000} subset.
   std::vector<int> degrees{1,   2,   4,    8,    16,   32,   64,  128,
@@ -77,29 +83,6 @@ struct ScalingConfig {
 
   // Safety stop for points where recovery stalls outright.
   sim::Time max_sim_time{sim::Time::seconds(120)};
-
-  // Sweep execution (sim::SweepRunner): 1 = inline, <= 0 = all hardware
-  // threads. Results are ordered by degree index regardless.
-  int jobs{1};
-  sim::SweepRunner::Policy sweep{};
-
-  // Checkpoint/resume hooks (see core/experiment_sweep.h).
-  ResumeHook<ScalingPoint> resume;
-  ResultHook<ScalingPoint> on_result;
-
-  // Observability: only point 0 attaches the hub (worker threads must not
-  // share it), so trace/metrics output is byte-identical at any --jobs.
-  obs::Hub* hub{nullptr};
-
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
-
-  // Tail autopsy (see IncastExperimentConfig::flow_trace). The sampling
-  // hash uses the *base* seed, so the same flow ids are sampled at every
-  // degree and attribution rows stay comparable along the ladder. At the
-  // 8000-sender end, sample_every keeps the breakdown footprint bounded.
-  bool flow_trace{false};
-  std::uint64_t flow_trace_sample_every{1};
 
   // Base seed; each point derives its own via derive_task_seed and uses it
   // as the fabric's ECMP seed, so every degree sees an independent (but

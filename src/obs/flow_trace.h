@@ -203,12 +203,4 @@ void append_fct_breakdown_csv(std::string& out, const std::string& mode, int deg
 
 }  // namespace incast::obs
 
-// Discovery macro, mirroring INCAST_OBS_HUB: a constant nullptr when the
-// observability layer is compiled out, so every hook dead-code-eliminates.
-#if INCAST_OBS_ENABLED
-#define INCAST_FLOW_TRACER(sim) ((sim).flow_tracer())
-#else
-#define INCAST_FLOW_TRACER(sim) (static_cast<::incast::obs::FlowTracer*>(nullptr))
-#endif
-
 #endif  // INCAST_OBS_FLOW_TRACE_H_

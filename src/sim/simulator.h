@@ -133,7 +133,8 @@ class Simulator {
   // Borrowed flow-lifecycle tracer (obs/flow_trace.h); nullptr (the
   // default) means "no latency attribution". Like the hub, attach it
   // *before* building topology/senders — they cache the pointer at
-  // construction. Components reach it through INCAST_FLOW_TRACER(sim).
+  // construction. Unlike the hub, it is not compiled out under
+  // -DINCAST_OBS=OFF: the tail autopsy is a result, not an observer.
   void set_flow_tracer(obs::FlowTracer* tracer) noexcept { flow_tracer_ = tracer; }
   [[nodiscard]] obs::FlowTracer* flow_tracer() const noexcept { return flow_tracer_; }
 

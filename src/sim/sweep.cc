@@ -54,6 +54,10 @@ bool SweepRunner::RunStats::failed(std::size_t index) const noexcept {
   return it != failures.end() && it->index == index;
 }
 
+bool SweepRunner::RunStats::has_result(std::size_t index) const noexcept {
+  return !failed(index) && tasks[index].attempts > 0;
+}
+
 std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
   state += 0x9E3779B97f4A7C15ULL;
   std::uint64_t z = state;

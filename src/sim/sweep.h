@@ -148,6 +148,10 @@ class SweepRunner {
 
     // True when task `index` was quarantined (binary search of failures).
     [[nodiscard]] bool failed(std::size_t index) const noexcept;
+    // True when task `index` holds a real result: it ran (or was replayed)
+    // to completion. Quarantined and never-started tasks hold
+    // default-constructed results that belong in no table or aggregate.
+    [[nodiscard]] bool has_result(std::size_t index) const noexcept;
   };
 
   // jobs <= 0 selects std::thread::hardware_concurrency().

@@ -46,7 +46,7 @@ TcpSender::TcpSender(sim::Simulator& sim, net::Host& local, net::NodeId remote,
     hub_ = nullptr;
   }
 
-  if (auto* ft = INCAST_FLOW_TRACER(sim_); ft != nullptr && ft->sampled(flow_)) {
+  if (auto* ft = sim_.flow_tracer(); ft != nullptr && ft->sampled(flow_)) {
     ft_ = ft;
   }
 }

@@ -37,14 +37,6 @@ void write_bins_csv(const std::vector<Millisampler::Bin>& bins, std::ostream& ou
   }
 }
 
-bool write_bins_csv_file(const std::vector<Millisampler::Bin>& bins,
-                         const std::string& path) {
-  std::ofstream out{path};
-  if (!out) return false;
-  write_bins_csv(bins, out);
-  return static_cast<bool>(out);
-}
-
 std::vector<Millisampler::Bin> read_bins_csv(std::istream& in) {
   std::string line;
   if (!std::getline(in, line)) {

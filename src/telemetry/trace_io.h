@@ -23,10 +23,6 @@ namespace incast::telemetry {
 // Writes bins as CSV (with header) to `out`.
 void write_bins_csv(const std::vector<Millisampler::Bin>& bins, std::ostream& out);
 
-// Convenience: writes to a file; returns false on I/O failure.
-[[nodiscard]] bool write_bins_csv_file(const std::vector<Millisampler::Bin>& bins,
-                                       const std::string& path);
-
 // Parses CSV produced by write_bins_csv. Throws std::runtime_error on
 // malformed input (wrong header, non-numeric fields, wrong column count).
 [[nodiscard]] std::vector<Millisampler::Bin> read_bins_csv(std::istream& in);

@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Command-line contract of `incast_sim scaling`, run as two ctest cases.
+"""Command-line contract of `incast_sim`, one ctest case per CASES entry.
 
 Usage: cli_scaling_test.py INCAST_SIM CHECK_TRACE CASE
 
-  domains-rejected  `scaling --domains 4` names --domains as an unknown flag
-                    and exits 2 (bad invocation) instead of ignoring it.
-  trace-runs        `scaling --degrees 64 --flow-trace --trace-out T.json`
-                    exits 0 and T.json passes tools/check_trace.py.
+  domains-rejected     `scaling --domains 4` names --domains as an unknown
+                       flag and exits 2 (bad invocation) instead of
+                       ignoring it.
+  trace-runs           `scaling --degrees 64 --flow-trace --trace-out T.json`
+                       exits 0 and T.json passes tools/check_trace.py.
+  fleet-csv-unwritable `fleet --export-csv` into a missing directory exits 3
+                       (file I/O), not 0.
+  burst-metrics-unwritable
+                       `burst --metrics-out` into a missing directory exits
+                       3 (file I/O), not 1.
 """
 from __future__ import annotations
 
@@ -38,7 +44,35 @@ def trace_runs(incast_sim: str, check_trace: str, workdir: str) -> str | None:
     return None
 
 
-CASES = {"domains-rejected": domains_rejected, "trace-runs": trace_runs}
+def exits_io_error(incast_sim: str, workdir: str, args: list[str]) -> str | None:
+    run = subprocess.run([incast_sim, *args], cwd=workdir, capture_output=True,
+                         text=True, timeout=120)
+    if run.returncode != 3:
+        return f"expected exit 3, got {run.returncode}; stderr:\n{run.stderr}"
+    if "cannot write missing/" not in run.stderr:
+        return f"stderr does not name the unwritable path:\n{run.stderr}"
+    return None
+
+
+def fleet_csv_unwritable(incast_sim: str, _check_trace: str, workdir: str) -> str | None:
+    return exits_io_error(incast_sim, workdir,
+                          ["fleet", "--hosts", "1", "--snapshots", "1", "--trace", "20ms",
+                           "--jobs", "1", "--export-csv", "missing/x.csv"])
+
+
+def burst_metrics_unwritable(incast_sim: str, _check_trace: str,
+                             workdir: str) -> str | None:
+    return exits_io_error(incast_sim, workdir,
+                          ["burst", "--flows", "8", "--bursts", "2", "--duration", "1ms",
+                           "--metrics-out", "missing/m.json"])
+
+
+CASES = {
+    "domains-rejected": domains_rejected,
+    "trace-runs": trace_runs,
+    "fleet-csv-unwritable": fleet_csv_unwritable,
+    "burst-metrics-unwritable": burst_metrics_unwritable,
+}
 
 
 def main() -> int:

@@ -138,8 +138,10 @@ TEST(SweepQuarantine, CancellationFlagStopsPickingUpWork) {
     policy.cancel = &cancel;
     runner.set_policy(policy);
     std::atomic<int> ran{0};
+    std::vector<char> started(64, 0);  // each task writes only its own slot
     runner.run<int>(64, [&](std::size_t index, SweepRunner::TaskStats&) -> int {
       ran.fetch_add(1);
+      started[index] = 1;
       if (index == 0) {
         cancel.store(true);
       } else {
@@ -156,6 +158,10 @@ TEST(SweepQuarantine, CancellationFlagStopsPickingUpWork) {
     EXPECT_LT(ran.load(), 64) << "jobs=" << jobs;
     EXPECT_EQ(static_cast<std::size_t>(ran.load()) + stats.tasks_not_run, 64u)
         << "jobs=" << jobs;
+    // A task cancellation kept from starting holds no result.
+    for (std::size_t i = 0; i < 64; ++i) {
+      EXPECT_EQ(stats.has_result(i), started[i] != 0) << "jobs=" << jobs << " task=" << i;
+    }
   }
 }
 
@@ -195,6 +201,12 @@ TEST(SweepQuarantine, FleetPoisonedCellDoesNotPerturbHealthyCells) {
     auto cfg = small_fleet(jobs);
     cfg.fail_cell_for_test = 4;
     cfg.sweep.fail_fast = false;  // quarantine instead of aborting the sweep
+    // Cell 1 replays from a (fake) journal instead of simulating.
+    cfg.resume = [&reference](std::size_t index, core::HostTraceResult& out) {
+      if (index != 1) return false;
+      out = reference[1];
+      return true;
+    };
     core::FleetExperiment exp{cfg};
 
     const auto results = exp.run_all();
@@ -204,8 +216,12 @@ TEST(SweepQuarantine, FleetPoisonedCellDoesNotPerturbHealthyCells) {
     EXPECT_EQ(sweep.failures[0].category, FailureCategory::kException);
     EXPECT_NE(sweep.failures[0].seed, 0u);
 
+    // The quarantined cell holds no result; the resumed one does.
+    EXPECT_FALSE(sweep.has_result(4));
+    EXPECT_TRUE(sweep.has_result(1));
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (i == 4) continue;
+      EXPECT_TRUE(sweep.has_result(i)) << "jobs=" << jobs << " cell=" << i;
       EXPECT_EQ(results[i].events_processed, reference[i].events_processed)
           << "jobs=" << jobs << " cell=" << i;
       EXPECT_EQ(results[i].queue_drops, reference[i].queue_drops);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 namespace incast::telemetry {
@@ -90,7 +91,11 @@ TEST(TraceIo, RejectsNonContiguousIndices) {
 
 TEST(TraceIo, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/trace_io_test.csv";
-  ASSERT_TRUE(write_bins_csv_file(sample_bins(), path));
+  {
+    std::ofstream out{path};
+    ASSERT_TRUE(out);
+    write_bins_csv(sample_bins(), out);
+  }
   const auto parsed = read_bins_csv_file(path);
   EXPECT_EQ(parsed.size(), 3u);
   EXPECT_EQ(parsed[2].retx_bytes, 1'500);

@@ -72,11 +72,11 @@
 //       deterministic bytes-per-flow memory decomposition (flow state,
 //       packet pools, routing tables, event-kernel slab).
 //
-//   --jobs N (fleet, faults, collateral, scaling) runs the independent simulations of a sweep on
-//   N worker threads (work-stealing; default: all hardware threads). Seeds
-//   derive from (base seed, task index), so any N — including --jobs 1,
-//   which reproduces the historical sequential behavior — yields
-//   byte-identical results.
+//   --jobs N (fleet, faults, collateral, scaling, chaos) runs the independent
+//   simulations of a sweep on N worker threads (work-stealing; default: all
+//   hardware threads). Seeds derive from (base seed, task index), so any N —
+//   including --jobs 1, which reproduces the historical sequential behavior
+//   — yields byte-identical results.
 //
 //   incast_sim trace --input trace.csv [--line-rate 10Gbps]
 //       Runs the burst detector on a previously exported trace.
@@ -88,9 +88,13 @@
 //       faulty bursts, fleet traces) each run under the strict invariant
 //       auditor with an event budget. Any violation or budget blowout is
 //       quarantined and reported; exit code 4 if any config failed. The
-//       same seed always generates the same configs.
+//       same seed always generates the same configs. The auditor is always
+//       strict and a failed config is never retried, so chaos takes none of
+//       the flags below except --journal; its own --max-events and
+//       --max-wall-ms set the per-run budgets.
 //
-//   Run-hardening flags, shared by burst / faults / fabric / fleet / chaos:
+//   Run-hardening flags, shared by burst / faults / fabric / fleet /
+//   collateral / scaling:
 //     --audit off|relaxed|strict  invariant auditor mode (default relaxed:
 //                                 violations are counted, never fatal;
 //                                 strict aborts with exit 4 and dumps the
@@ -98,7 +102,8 @@
 //     --max-events N              per-simulation event budget (0 = none)
 //     --max-wall-ms MS            per-simulation wall-clock budget (0 = none)
 //
-//   Sweep fault-isolation flags (faults, fleet, collateral, scaling, chaos):
+//   Sweep fault-isolation flags (faults, fleet, collateral, scaling; chaos
+//   takes --journal only):
 //     --fail-fast                 abort the whole sweep on the first task
 //                                 failure (historical behavior). Default:
 //                                 quarantine the failing point, retry it
@@ -118,7 +123,8 @@
 //   3 file I/O failure; 4 audit violation or budget exceeded (strict) or
 //   chaos failures; 5 internal error; 130/143 after SIGINT/SIGTERM.
 //
-//   Observability flags, shared by burst / faults / fabric / fleet:
+//   Observability flags, shared by burst / faults / fabric / fleet /
+//   collateral / scaling:
 //     --trace-out FILE          write a Chrome trace-event JSON of the run
 //                               (load in Perfetto / chrome://tracing;
 //                               validate with tools/check_trace.py)
@@ -130,8 +136,9 @@
 //     --flight-recorder-out P   dump filename prefix (default "flight_";
 //                               dump n is written to P<n>.json)
 //   For faults, the baseline run is the observed one (sweep points run in
-//   parallel); for fleet, the (host 0, snapshot 0) cell is. Trace and
-//   metrics bytes are identical for every --jobs value.
+//   parallel); for fleet, the (host 0, snapshot 0) cell is; for collateral
+//   and scaling, point 0 is. Trace and metrics bytes are identical for every
+//   --jobs value.
 //
 //   Tail-autopsy flags, shared by burst / fabric / collateral / scaling:
 //     --flow-trace              sampled per-flow latency attribution: each
@@ -153,7 +160,9 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -167,6 +176,7 @@
 #include "core/incast_experiment.h"
 #include "core/report.h"
 #include "core/resilience_experiment.h"
+#include "core/run_options.h"
 #include "core/scaling_experiment.h"
 #include "core/task_journal.h"
 #include "obs/flow_trace.h"
@@ -253,16 +263,21 @@ bool parse_degrees(const std::string& list, std::vector<int>& out) {
   return true;
 }
 
-// Writes `contents` to `path`. Returns 0, or 3 (the documented file-I/O
-// exit code) after printing an error.
-int write_file(const std::string& path, const std::string& contents) {
+// Writes the file at `path` through write(stream). Every output file of
+// every subcommand is written here, so one that cannot be opened or written
+// is always a file-I/O error (exit 3).
+template <typename Write>
+void write_output(const std::string& path, Write&& write) {
   std::ofstream out{path};
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return 3;
+  if (out) {
+    write(out);
+    out.flush();
   }
-  out << contents;
-  return 0;
+  if (!out) throw core::Error{core::ErrorCategory::kIo, "cannot write " + path};
+}
+
+void write_file(const std::string& path, const std::string& contents) {
+  write_output(path, [&contents](std::ostream& out) { out << contents; });
 }
 
 // The observability flags shared by every simulation subcommand. Parsing
@@ -274,7 +289,9 @@ struct ObsCli {
   std::string trigger_spec;
   std::string dump_prefix;
   std::unique_ptr<obs::Hub> hub;
-  int dump_write_errors{0};
+  // The first flight dump that could not be written. A dump happens inside
+  // the simulation, so the error is raised by write_outputs() instead.
+  std::string dump_error;
 
   // Must run before finish(args) so the flags are consumed. Returns false
   // (after printing a diagnostic) on a malformed trigger spec.
@@ -302,13 +319,12 @@ struct ObsCli {
           [this](const std::string& reason, const std::vector<obs::TraceEvent>& ring) {
             const std::string path =
                 dump_prefix + std::to_string(hub->recorder().dumps()) + ".json";
-            std::ofstream out{path};
-            if (!out) {
-              std::fprintf(stderr, "error: cannot write flight dump %s\n", path.c_str());
-              ++dump_write_errors;
+            try {
+              write_output(path, [&](std::ostream& out) { hub->write_dump(ring, out); });
+            } catch (const core::Error& e) {
+              if (dump_error.empty()) dump_error = e.what();
               return;
             }
-            hub->write_dump(ring, out);
             std::fprintf(stderr, "flight recorder: %s -> %s (%zu events)\n",
                          reason.c_str(), path.c_str(), ring.size());
           });
@@ -317,16 +333,11 @@ struct ObsCli {
   }
 
   // Call after the experiment (its ExperimentObserver snapshots the metrics
-  // registry before components unregister). Returns 0, or 1 on I/O failure.
-  int write_outputs() {
-    if (!hub) return 0;
+  // registry before components unregister).
+  void write_outputs() {
+    if (!hub) return;
     if (!trace_out.empty()) {
-      std::ofstream out{trace_out};
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n", trace_out.c_str());
-        return 1;
-      }
-      hub->write_trace(out);
+      write_output(trace_out, [this](std::ostream& out) { hub->write_trace(out); });
       std::printf("wrote trace: %zu event(s) (%llu dropped at capacity) to %s\n",
                   hub->tracer().events().size(),
                   static_cast<unsigned long long>(hub->tracer().dropped()),
@@ -334,12 +345,8 @@ struct ObsCli {
     }
     if (!metrics_out.empty()) {
       if (!hub->has_final_metrics()) hub->capture_metrics(0);
-      std::ofstream out{metrics_out};
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n", metrics_out.c_str());
-        return 1;
-      }
-      hub->final_metrics().write_json(out);
+      write_output(metrics_out,
+                   [this](std::ostream& out) { hub->final_metrics().write_json(out); });
       std::printf("wrote metrics: %zu metric(s) to %s\n",
                   hub->final_metrics().entries.size(), metrics_out.c_str());
     }
@@ -347,31 +354,27 @@ struct ObsCli {
       std::printf("flight recorder (%s): %d dump(s)\n", trigger_spec.c_str(),
                   hub->recorder().dumps());
     }
-    return dump_write_errors > 0 ? 1 : 0;
+    if (!dump_error.empty()) throw core::Error{core::ErrorCategory::kIo, dump_error};
   }
 };
 
 // The tail-autopsy flags shared by burst / fabric / collateral / scaling.
 // Must run before finish(args) so the flags are consumed.
 struct FlowTraceCli {
-  bool enabled{false};
-  std::uint64_t sample_every{1};
   std::string out_path;
 
-  void parse(core::CliArgs& args) {
+  void parse(core::CliArgs& args, core::TracedRunOptions& run) {
     out_path = args.get_or("flow-trace-out", "");
-    enabled = args.bool_or("flow-trace", false) || !out_path.empty();
-    sample_every =
+    run.flow_trace = args.bool_or("flow-trace", false) || !out_path.empty();
+    run.flow_trace_sample_every =
         static_cast<std::uint64_t>(args.int_or("flow-trace-sample", 1, 1, 1'000'000'000));
   }
 
-  // Writes fct_breakdown.csv when --flow-trace-out was given. Returns 0, or
-  // 3 (the documented file-I/O exit code) on failure.
-  [[nodiscard]] int write_csv(const std::string& csv) const {
-    if (out_path.empty()) return 0;
-    if (const int rc = write_file(out_path, csv); rc != 0) return rc;
+  // Writes fct_breakdown.csv when --flow-trace-out was given.
+  void write_csv(const std::string& csv) const {
+    if (out_path.empty()) return;
+    write_file(out_path, csv);
     std::printf("wrote flow-trace breakdown to %s\n", out_path.c_str());
-    return 0;
   }
 };
 
@@ -421,7 +424,7 @@ void print_p99_table(const Report& report, const char* per, ModeOf mode_of) {
   core::Table t{{"mode", "degree", "p99 FCT", "wire", "queue", "pfc", "cwnd", "rto",
                  "fast-rec", "nack-rec", "other"}};
   for (std::size_t i = 0; i < report.points.size(); ++i) {
-    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+    if (!report.sweep.has_result(i)) continue;
     const auto& p = report.points[i];
     for (const auto& row : p.fct_rows) {
       if (std::strcmp(row.pctl, "p99") != 0) continue;
@@ -443,77 +446,55 @@ void print_p99_table(const Report& report, const char* per, ModeOf mode_of) {
 // mode and budgets, plus (for sweeps) quarantine/retry and the checkpoint
 // journal. Must run before finish(args) so the flags are consumed.
 struct HardeningCli {
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
   std::string journal_path;
-  bool fail_fast{false};
-  int max_attempts{2};
 
-  bool parse(core::CliArgs& args, bool sweep_flags) {
+  bool parse(core::CliArgs& args, core::RunOptions& run) {
     const std::string mode_name = args.get_or("audit", "relaxed");
-    if (!sim::parse_audit_mode(mode_name, audit_mode)) {
+    if (!sim::parse_audit_mode(mode_name, run.audit_mode)) {
       std::fprintf(stderr, "error: unknown --audit '%s' (off|relaxed|strict)\n",
                    mode_name.c_str());
       return false;
     }
-    audit.max_events =
+    run.audit.max_events =
         static_cast<std::uint64_t>(args.int_or("max-events", 0, 0, 1'000'000'000'000));
-    audit.max_wall_ms = args.double_or("max-wall-ms", 0.0, 0.0, 1e9);
-    audit.cancel = &g_cancel;
-    if (sweep_flags) {
-      journal_path = args.get_or("journal", "");
-      fail_fast = args.bool_or("fail-fast", false);
-      max_attempts = 1 + static_cast<int>(args.int_or("retries", 1, 0, 16));
-    }
+    run.audit.max_wall_ms = args.double_or("max-wall-ms", 0.0, 0.0, 1e9);
+    run.audit.cancel = &g_cancel;
     return true;
   }
 
-  [[nodiscard]] sim::SweepRunner::Policy policy() const {
-    sim::SweepRunner::Policy p;
-    p.fail_fast = fail_fast;
-    p.max_attempts = max_attempts;
-    p.cancel = &g_cancel;
-    return p;
+  void parse_sweep(core::CliArgs& args, sim::SweepRunner::Policy& policy) {
+    journal_path = args.get_or("journal", "");
+    policy.fail_fast = args.bool_or("fail-fast", false);
+    policy.max_attempts = 1 + static_cast<int>(args.int_or("retries", 1, 0, 16));
+    policy.cancel = &g_cancel;
   }
 };
 
-// Every cross-cutting flag of a simulation subcommand, parsed and applied in
-// one place. The config decides which flags the subcommand takes: sweep
-// flags when it has a sweep policy, tail-autopsy flags when it traces
-// flows, hardening and observability flags always.
+// The run a subcommand observes: its config's, or for faults its baseline's.
+core::RunOptions& run_options(core::RunOptions& run) { return run; }
+core::RunOptions& run_options(core::ResilienceConfig& cfg) { return cfg.base; }
+
+// Every cross-cutting flag of a simulation subcommand, parsed in one place
+// straight into the config's option structs. The config decides which flags
+// the subcommand takes: sweep flags when it has SweepOptions, tail-autopsy
+// flags when it has TracedRunOptions, hardening and observability flags
+// always (the observed run of faults is its base config).
 struct RunCli {
   HardeningCli hard;
   FlowTraceCli ft;
   ObsCli obs;
 
-  // Parses the flags `cfg` takes, rejects every flag left over, and applies
-  // them to `cfg` (the observed run of faults is its base config). Returns
-  // 0, or the exit code of a bad invocation.
+  // Parses the flags `cfg` takes into it and rejects every flag left over.
+  // Returns 0, or the exit code of a bad invocation.
   template <typename Config>
   int parse(core::CliArgs& args, Config& cfg) {
-    if (!hard.parse(args, requires { cfg.sweep; })) return 2;
-    if constexpr (requires { cfg.flow_trace; }) ft.parse(args);
+    core::RunOptions& run = run_options(cfg);
+    if (!hard.parse(args, run)) return 2;
+    if constexpr (requires { cfg.sweep; }) hard.parse_sweep(args, cfg.sweep);
+    if constexpr (std::is_base_of_v<core::TracedRunOptions, Config>) ft.parse(args, cfg);
     if (!obs.parse(args)) return 2;
-    if (const int rc = finish(args); rc != 0) return rc;
-    if constexpr (requires { cfg.sweep; }) cfg.sweep = hard.policy();
-    if constexpr (requires { cfg.base; }) {
-      apply(cfg.base);
-    } else {
-      apply(cfg);
-    }
-    return 0;
-  }
-
- private:
-  template <typename Run>
-  void apply(Run& cfg) const {
-    cfg.hub = obs.hub.get();
-    cfg.audit_mode = hard.audit_mode;
-    cfg.audit = hard.audit;
-    if constexpr (requires { cfg.flow_trace; }) {
-      cfg.flow_trace = ft.enabled;
-      cfg.flow_trace_sample_every = ft.sample_every;
-    }
+    run.hub = obs.hub.get();
+    return finish(args);
   }
 };
 
@@ -646,13 +627,14 @@ int run_burst(core::CliArgs& args) {
               cc_name.c_str(), static_cast<unsigned long long>(cfg.seed));
   const auto r = core::run_incast_experiment(cfg);
   print_burst_table(r);
-  if (cli.ft.enabled) {
+  if (cfg.flow_trace) {
     print_fct_attribution(r.fct_rows, r.flow_breakdowns.size(), r.flow_trace_incomplete);
     std::string csv = obs::fct_breakdown_csv_header();
     obs::append_fct_breakdown_csv(csv, "burst", cfg.num_flows, r.fct_rows);
-    if (const int rc = cli.ft.write_csv(csv); rc != 0) return rc;
+    cli.ft.write_csv(csv);
   }
-  return cli.obs.write_outputs();
+  cli.obs.write_outputs();
+  return 0;
 }
 
 int run_faults(core::CliArgs& args) {
@@ -731,7 +713,7 @@ int run_faults(core::CliArgs& args) {
   for (std::size_t i = 0; i < report.points.size(); ++i) {
     // Quarantined or never-run points hold default-constructed results;
     // their story is told by the quarantine block below, not a row of zeros.
-    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+    if (!report.sweep.has_result(i)) continue;
     const auto& p = report.points[i];
     const auto& r = p.result;
     t.add_row({core::fmt(p.drop_rate, 6),
@@ -747,7 +729,7 @@ int run_faults(core::CliArgs& args) {
   t.print();
 
   for (std::size_t i = 0; i < report.points.size(); ++i) {
-    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+    if (!report.sweep.has_result(i)) continue;
     const auto& p = report.points[i];
     if (p.mode != report.baseline_mode) {
       std::printf("\nmode boundary shifted: baseline %s -> %s at drop-rate %s%s\n",
@@ -760,7 +742,8 @@ int run_faults(core::CliArgs& args) {
     }
   }
   print_sweep_footer(report.sweep, journal);
-  return cli.obs.write_outputs();
+  cli.obs.write_outputs();
+  return 0;
 }
 
 // Link names contain '.' and "->"; CSV filenames should not.
@@ -885,26 +868,21 @@ int run_fabric(core::CliArgs& args) {
   et.print();
 
   if (!telemetry_prefix.empty()) {
-    int written = 0;
     for (const auto& v : r.vantages) {
-      const std::string path = telemetry_prefix + sanitize_for_filename(v.name) + ".csv";
-      if (telemetry::write_bins_csv_file(v.bins, path)) {
-        ++written;
-      } else {
-        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-        return 1;
-      }
+      write_output(telemetry_prefix + sanitize_for_filename(v.name) + ".csv",
+                   [&v](std::ostream& out) { telemetry::write_bins_csv(v.bins, out); });
     }
-    std::printf("\nexported %d vantage trace(s) to %s*.csv\n", written,
+    std::printf("\nexported %zu vantage trace(s) to %s*.csv\n", r.vantages.size(),
                 telemetry_prefix.c_str());
   }
-  if (cli.ft.enabled) {
+  if (cfg.flow_trace) {
     print_fct_attribution(r.fct_rows, r.flow_breakdowns.size(), r.flow_trace_incomplete);
     std::string csv = obs::fct_breakdown_csv_header();
     obs::append_fct_breakdown_csv(csv, "fabric", cfg.num_flows, r.fct_rows);
-    if (const int rc = cli.ft.write_csv(csv); rc != 0) return rc;
+    cli.ft.write_csv(csv);
   }
-  return cli.obs.write_outputs();
+  cli.obs.write_outputs();
+  return 0;
 }
 
 int run_fleet(core::CliArgs& args) {
@@ -968,7 +946,7 @@ int run_fleet(core::CliArgs& args) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     // Quarantined or cancelled-before-start cells hold default-constructed
     // results; keep them out of the aggregates.
-    if (sweep.failed(i) || sweep.tasks[i].attempts == 0) continue;
+    if (!sweep.has_result(i)) continue;
     const auto& r = results[i];
     ++healthy;
     util += r.avg_utilization;
@@ -982,23 +960,20 @@ int run_fleet(core::CliArgs& args) {
     }
   }
   if (!csv_path.empty() && !results.empty()) {
-    if (telemetry::write_bins_csv_file(results.front().bins, csv_path)) {
+    write_output(csv_path, [&](std::ostream& out) {
+      telemetry::write_bins_csv(results.front().bins, out);
       // Footer: annotate a partial export so downstream tooling (and
       // humans) can tell "clean sweep" from "some cells missing". '#'
       // lines are skipped by read_bins_csv.
-      if (!sweep.failures.empty() || sweep.tasks_not_run > 0) {
-        std::ofstream footer{csv_path, std::ios::app};
-        footer << "# quarantined: " << sweep.failures.size() << " cell(s) failed, "
-               << sweep.tasks_not_run << " not run\n";
-        for (const sim::TaskFailure& f : sweep.failures) {
-          footer << "# cell " << f.index << " (seed " << f.seed << ") ["
-                 << sim::to_string(f.category) << "]: " << f.message << '\n';
-        }
+      if (sweep.failures.empty() && sweep.tasks_not_run == 0) return;
+      out << "# quarantined: " << sweep.failures.size() << " cell(s) failed, "
+          << sweep.tasks_not_run << " not run\n";
+      for (const sim::TaskFailure& f : sweep.failures) {
+        out << "# cell " << f.index << " (seed " << f.seed << ") ["
+            << sim::to_string(f.category) << "]: " << f.message << '\n';
       }
-      std::printf("exported host 0 trace to %s\n", csv_path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
-    }
+    });
+    std::printf("exported host 0 trace to %s\n", csv_path.c_str());
   }
 
   core::Table t{{"metric", "value"}};
@@ -1017,7 +992,8 @@ int run_fleet(core::CliArgs& args) {
   t.add_row({"ToR drops", std::to_string(drops)});
   t.print();
   print_sweep_footer(sweep, journal);
-  return cli.obs.write_outputs();
+  cli.obs.write_outputs();
+  return 0;
 }
 
 int run_collateral(core::CliArgs& args) {
@@ -1084,7 +1060,7 @@ int run_collateral(core::CliArgs& args) {
   core::Table t{{"mode", "degree", "victim", "paused", "v-retx", "v-nacks", "avg BCT",
                  "max BCT", "drops", "trims", "pauses", "audit"}};
   for (std::size_t i = 0; i < report.points.size(); ++i) {
-    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+    if (!report.sweep.has_result(i)) continue;
     const auto& p = report.points[i];
     t.add_row({core::to_string(p.mode), std::to_string(p.degree),
                core::fmt(p.victim_goodput_gbps, 3) + " Gbps",
@@ -1097,22 +1073,21 @@ int run_collateral(core::CliArgs& args) {
   }
   t.print();
 
-  if (cli.ft.enabled) {
+  if (cfg.flow_trace) {
     print_p99_table(report, "point",
                     [](const core::CollateralPoint& p) { return core::to_string(p.mode); });
   }
 
   print_sweep_footer(report.sweep, journal);
 
-  if (cli.ft.enabled) {
-    if (const int rc = cli.ft.write_csv(core::collateral_fct_csv(report)); rc != 0) return rc;
-  }
+  if (cfg.flow_trace) cli.ft.write_csv(core::collateral_fct_csv(report));
 
   if (!csv_path.empty()) {
-    if (const int rc = write_file(csv_path, core::collateral_csv(report)); rc != 0) return rc;
+    write_file(csv_path, core::collateral_csv(report));
     std::printf("wrote %zu point(s) to %s\n", report.points.size(), csv_path.c_str());
   }
-  return cli.obs.write_outputs();
+  cli.obs.write_outputs();
+  return 0;
 }
 
 int run_scaling(core::CliArgs& args) {
@@ -1164,7 +1139,7 @@ int run_scaling(core::CliArgs& args) {
   core::Table t{{"degree", "FCT", "optimal", "overhead", "done", "timeouts", "retx",
                  "drops", "B/flow", "audit"}};
   for (std::size_t i = 0; i < report.points.size(); ++i) {
-    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+    if (!report.sweep.has_result(i)) continue;
     const auto& p = report.points[i];
     t.add_row({std::to_string(p.degree), core::fmt(p.fct_ms, 2) + " ms",
                core::fmt(p.optimal_ms, 2) + " ms", core::fmt(p.overhead_pct, 1) + " %",
@@ -1175,21 +1150,20 @@ int run_scaling(core::CliArgs& args) {
   }
   t.print();
 
-  if (cli.ft.enabled) {
+  if (cfg.flow_trace) {
     print_p99_table(report, "degree", [](const core::ScalingPoint&) { return "scaling"; });
   }
 
   print_sweep_footer(report.sweep, journal);
 
-  if (cli.ft.enabled) {
-    if (const int rc = cli.ft.write_csv(core::scaling_fct_csv(report)); rc != 0) return rc;
-  }
+  if (cfg.flow_trace) cli.ft.write_csv(core::scaling_fct_csv(report));
 
   if (!csv_path.empty()) {
-    if (const int rc = write_file(csv_path, core::scaling_csv(report)); rc != 0) return rc;
+    write_file(csv_path, core::scaling_csv(report));
     std::printf("wrote %zu point(s) to %s\n", report.points.size(), csv_path.c_str());
   }
-  return cli.obs.write_outputs();
+  cli.obs.write_outputs();
+  return 0;
 }
 
 int run_chaos(core::CliArgs& args) {
@@ -1218,7 +1192,7 @@ int run_chaos(core::CliArgs& args) {
   const core::ChaosReport report = core::run_chaos(cfg);
 
   for (std::size_t i = 0; i < report.runs.size(); ++i) {
-    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+    if (!report.sweep.has_result(i)) continue;
     std::printf("  ok   #%-3zu %-90s %llu events\n", i, report.runs[i].description.c_str(),
                 static_cast<unsigned long long>(report.runs[i].events_processed));
   }
