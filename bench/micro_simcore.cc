@@ -110,6 +110,42 @@ void BM_SimulatorEventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventDispatch);
 
+// Self-rescheduling wire event for BM_WireDispatchUnderDeadTimers: the
+// packet-hop pattern (each hop schedules the next) tagged kNet.
+struct WireTick {
+  sim::Simulator* sim;
+  int* count;
+  void operator()() const {
+    if (++*count < 10'000) {
+      sim->schedule_in(sim::Time::nanoseconds(100), WireTick{sim, count},
+                       sim::EventCategory::kNet);
+    }
+  }
+};
+
+void BM_WireDispatchUnderDeadTimers(benchmark::State& state) {
+  // 10k chained kNet events dispatched while state.range(0) cancelled
+  // far-future kTcp timers stay queued: the dead RTO timers a large incast
+  // leaves behind until they reach the front. Wire dispatch must not pay
+  // for them; CI holds /100000 to at least half the throughput of /0
+  // within one run.
+  const auto dead = static_cast<std::size_t>(state.range(0));
+  sim::Simulator sim;
+  sim.reserve_events(dead + 64);
+  for (std::size_t i = 0; i < dead; ++i) {
+    sim.cancel(sim.schedule_at(sim::Time::seconds(1'000'000), [] {},
+                               sim::EventCategory::kTcp));
+  }
+  for (auto _ : state) {
+    int count = 0;
+    sim.schedule_in(100_ns, WireTick{&sim, &count}, sim::EventCategory::kNet);
+    sim.run();
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetItemsProcessed(state.iterations() * 10'000);
+}
+BENCHMARK(BM_WireDispatchUnderDeadTimers)->Arg(0)->Arg(100'000);
+
 void BM_EventQueueCancelHeavy(benchmark::State& state) {
   // The TCP RTO pattern: every ACK cancels the pending retransmission
   // timer and schedules a replacement further out, so most scheduled

@@ -238,19 +238,23 @@ void Port::deliver(Packet* p) {
 }
 
 void Port::arrive(Packet* p) {
-  // Move to the stack and release the slot before delivering, so the slot
-  // is back on the free list whatever receive() goes on to do. (No
-  // synchronous path from receive() re-enters this port's pool: a switch
-  // forwards and a host ACKs through the peer node's own ports.)
-  Packet delivered = std::move(*p);
-  pool_.release(p);
 #if INCAST_AUDIT_ENABLED
-  wire_bytes_ -= delivered.size_bytes;
+  wire_bytes_ -= p->size_bytes;
   if (auto* a = INCAST_AUDITOR(sim_)) {
     a->record_depth("port.wire", 0, wire_bytes_);
   }
 #endif
-  peer_->receive(std::move(delivered), peer_in_port_);
+  // receive() works on the pool slot itself, and the slot goes back on the
+  // free list once it returns. That leaves the free list exactly as a
+  // release-before-delivery would, because no synchronous path from
+  // receive() re-enters this port's pool: a switch forwards and a host ACKs
+  // through the peer node's own ports.
+#ifndef NDEBUG
+  const std::size_t in_use = pool_.in_use();
+#endif
+  peer_->receive(std::move(*p), peer_in_port_);
+  assert(pool_.in_use() == in_use && "receive() re-entered the sending port's pool");
+  pool_.release(p);
 }
 
 void connect_duplex(Node& a, std::size_t ap, Node& b, std::size_t bp) {

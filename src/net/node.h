@@ -178,8 +178,8 @@ class Port {
   // peer after propagation. `p` is a pooled handle owned by this port; it
   // is released (or handed to the propagation event) before returning.
   void deliver(Packet* p);
-  // Fires when a packet finishes propagating: moves it out of the pool and
-  // hands it to the peer.
+  // Fires when a packet finishes propagating: hands the pool slot itself to
+  // the peer's receive(), then releases it.
   void arrive(Packet* p);
   // Closes the open pause interval and restarts transmission.
   void finish_pause();

@@ -8,12 +8,23 @@
 // ownership rule: a callee may mark, trim or consume the packet it is
 // handed, and the caller reads nothing from it afterwards — anything it
 // still needs (size, flow, VIQ tag) it reads into locals before the call.
+//
+// Live bytes: the INT stack ends the struct, and its hop records end the
+// stack. 192 of the 392 bytes are those records, which only HPCC runs ever
+// stamp. copy_live() copies everything up to the records plus the
+// `num_hops` stamped ones — 200 bytes on every non-HPCC packet — and the
+// egress rings move packets with it. The contract that makes this safe:
+// records at or past `int_stack.num_hops` are never read, so a slot may
+// keep whatever an earlier occupant left there.
 #ifndef INCAST_NET_PACKET_H_
 #define INCAST_NET_PACKET_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "sim/time.h"
 
@@ -122,7 +133,8 @@ struct RdtHeader {
 };
 
 // INT stack carried by a packet (on data: stamped by switches; on ACKs:
-// echoed by the receiver).
+// echoed by the receiver). Only hops[0, num_hops) hold records; the rest
+// are undefined (see copy_live) and must never be read.
 struct IntStack {
   bool enabled{false};
   std::uint8_t num_hops{0};
@@ -148,7 +160,6 @@ struct Packet {
   TcpHeader tcp{};
   RdtHeader rdt{};
   CtrlHeader ctrl{};
-  IntStack int_stack{};
   // Ingress virtual input queue this packet is charged to at the current
   // PFC-enabled switch (-1 = unaccounted). Re-tagged at every lossless hop;
   // meaningless elsewhere.
@@ -171,12 +182,31 @@ struct Packet {
   std::int64_t trace_paused_ns{0};    // port's paused_ns() at enqueue
   sim::Time sent_at{};        // when the sender emitted it (diagnostics)
   std::uint64_t uid{0};       // unique per packet (diagnostics)
+  // Last member, so copy_live() can stop after the stamped hop records.
+  IntStack int_stack{};
 
   [[nodiscard]] bool is_data() const noexcept { return payload_bytes > 0; }
   [[nodiscard]] bool is_ctrl() const noexcept { return ctrl.type != CtrlType::kNone; }
 
   [[nodiscard]] std::string to_string() const;
 };
+
+static_assert(std::is_trivially_copyable_v<Packet> && std::is_standard_layout_v<Packet>,
+              "copy_live() copies packets with memcpy");
+static_assert(offsetof(Packet, int_stack) + offsetof(IntStack, hops) +
+                      sizeof(IntStack::hops) == sizeof(Packet),
+              "the INT hop records must end the packet");
+static_assert(sizeof(Packet) == 392, "sizeof(Packet) is pinned by the scaling byte columns");
+
+// Copies `src` into `dst`, stamped INT hop records included, without
+// touching the records past src.int_stack.num_hops (never read, see the
+// header comment).
+inline void copy_live(Packet& dst, const Packet& src) noexcept {
+  constexpr std::size_t kPrefix = offsetof(Packet, int_stack) + offsetof(IntStack, hops);
+  std::memcpy(static_cast<void*>(&dst), &src, kPrefix);
+  std::memcpy(static_cast<void*>(dst.int_stack.hops.data()), src.int_stack.hops.data(),
+              src.int_stack.num_hops * sizeof(IntHopRecord));
+}
 
 // Size of the combined TCP/IP header we charge each packet.
 inline constexpr std::int64_t kHeaderBytes = 40;

@@ -182,17 +182,17 @@ void DropTailQueue::Ring::push(Packet&& p) {
     }
     std::vector<Packet> bigger(capacity);
     for (std::size_t i = 0; i < count; ++i) {
-      bigger[i] = std::move(slots[(head + i) & (slots.size() - 1)]);
+      copy_live(bigger[i], slots[(head + i) & (slots.size() - 1)]);
     }
     slots = std::move(bigger);
     head = 0;
   }
-  slots[(head + count) & (slots.size() - 1)] = std::move(p);
+  copy_live(slots[(head + count) & (slots.size() - 1)], p);
   ++count;
 }
 
 void DropTailQueue::Ring::pop_into(Packet& out) noexcept {
-  out = std::move(slots[head]);
+  copy_live(out, slots[head]);
   head = (head + 1) & (slots.size() - 1);
   --count;
 }

@@ -122,6 +122,7 @@ class DropTailQueue {
   // churn costs an allocation per enqueue at Packet granularity, which the
   // allocation-free kernel cannot afford. The capacity is always a power
   // of two (16, then doubling), so indices wrap with a mask, not a divide.
+  // Packets move in and out with copy_live(): only their live bytes.
   struct Ring {
     std::vector<Packet> slots;
     std::size_t head{0};

@@ -3,24 +3,38 @@
 // Layout is chosen so that steady-state dispatch performs zero heap
 // allocations and zero hash-table operations:
 //
-//  * The heap is a cache-friendly 4-ary implicit heap whose entries are
-//    24-byte PODs (Time, seq, slot). Sift operations move these small
-//    entries, never the callbacks.
+//  * Pending events live in two cache-friendly 4-ary implicit heaps whose
+//    entries are 24-byte PODs (Time, seq, slot). Sift operations move these
+//    small entries, never the callbacks.
+//  * Events of category kNet (serialization done, propagation done, PFC
+//    pause expiry) go to the *wire heap*; every other category goes to the
+//    *timer heap*. Packet hops are nearly every event of a run, and wire
+//    events are never cancelled, so the wire heap stays at the live wire
+//    depth. Cancelled RTO timers pile up in the timer heap instead, where
+//    they no longer lengthen every hop's sift path.
 //  * Callbacks (allocation-free sim::InlineFunction) and their category live
-//    in a free-listed slab indexed by `slot`. A slot is written once at
-//    push() and read once at pop(); it never moves while scheduled.
+//    in a free-listed slab indexed by `slot`, shared by both heaps. A slot is
+//    written once at push() and read once at pop(); it never moves while
+//    scheduled.
 //  * Ordering is (time, seq) with seq a monotonically increasing insertion
-//    counter, which makes event ordering at equal timestamps deterministic
-//    (FIFO) — essential for reproducible runs.
+//    counter shared by both heaps, which makes event ordering at equal
+//    timestamps deterministic (FIFO) — essential for reproducible runs.
+//    pop() and next_time() take the earlier of the two roots, so dispatch
+//    order is exactly that of one heap holding every entry.
 //  * Cancellation is generation-stamped: an EventId encodes (slot,
 //    generation), and the generation bumps every time a slot is freed.
 //    cancel() of an id whose event already fired (or was already cancelled)
 //    sees a stale generation and is a true no-op — the contract TCP timer
 //    code relies on. A cancelled slot releases its callback immediately;
-//    its heap entry is skipped lazily when it surfaces at the root.
+//    its heap entry is skipped lazily when it becomes the earlier root.
+//    Dead roots are released in the same global (time, seq) order one heap
+//    would release them, so the slab's free-list order, slab_high_water()
+//    and peak_pending() match the single-heap kernel's exactly. A cancelled
+//    timer still pins its slab slot until it surfaces; it no longer costs
+//    dispatch time.
 //
 // Steady state (push/cancel/pop at a stable depth) touches only the heap
-// vector and the slab vector — no allocation, no hashing, no node churn.
+// vectors and the slab vector — no allocation, no hashing, no node churn.
 #ifndef INCAST_SIM_EVENT_QUEUE_H_
 #define INCAST_SIM_EVENT_QUEUE_H_
 
@@ -54,11 +68,13 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Pre-sizes the heap and slab for `n` concurrently pending events, so a
-  // simulation whose peak depth is known up front (hosts x flows x a few
-  // timers) never grows either on its hot path.
+  // Pre-sizes both heaps and the slab for `n` concurrently pending events,
+  // so a simulation whose peak depth is known up front (hosts x flows x a
+  // few timers) never grows any of them on its hot path. Reserved pages
+  // that a heap never reaches are never touched, so they cost no RSS.
   void reserve(std::size_t n) {
-    heap_.reserve(n);
+    wires_.entries.reserve(n);
+    timers_.entries.reserve(n);
     slots_.reserve(n);
   }
 
@@ -72,9 +88,9 @@ class EventQueue {
     s.cb = std::move(cb);
     s.category = category;
     s.live = true;
-    heap_.push_back(Entry{at, next_seq_++, slot});
-    sift_up(heap_.size() - 1);
-    if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
+    (category == EventCategory::kNet ? wires_ : timers_).push(Entry{at, next_seq_++, slot});
+    const std::size_t depth = wires_.entries.size() + timers_.entries.size();
+    if (depth > peak_pending_) peak_pending_ = depth;
     ++live_;
     return encode_id(slot, s.generation);
   }
@@ -100,8 +116,8 @@ class EventQueue {
   // Logically const: skipping already-cancelled heap entries compacts
   // internal storage but never changes the observable event sequence.
   [[nodiscard]] Time next_time() const {
-    skip_cancelled();
-    return heap_.empty() ? Time::infinity() : heap_.front().at;
+    const Heap* front = const_cast<EventQueue*>(this)->skip_cancelled();
+    return front == nullptr ? Time::infinity() : front->entries.front().at;
   }
 
   // Pops the next non-cancelled event. Precondition: !empty().
@@ -112,10 +128,10 @@ class EventQueue {
     Callback cb;
   };
   Popped pop() {
-    skip_cancelled();
-    assert(!heap_.empty() && "pop() on an empty queue");
-    const Entry top = heap_.front();
-    pop_root();
+    Heap* front = skip_cancelled();
+    assert(front != nullptr && "pop() on an empty queue");
+    const Entry top = front->entries.front();
+    front->pop_root();
     Slot& s = slots_[top.slot];
     Popped out{top.at, encode_id(top.slot, s.generation), s.category,
                std::move(s.cb)};
@@ -124,8 +140,9 @@ class EventQueue {
     return out;
   }
 
-  // Peak heap depth since construction (cancelled-but-unpopped entries
-  // included — they occupy real heap memory until they surface).
+  // Peak heap depth since construction, both heaps together
+  // (cancelled-but-unpopped entries included — they occupy real heap memory
+  // until they surface).
   [[nodiscard]] std::size_t peak_pending() const noexcept { return peak_pending_; }
   // Slab high-water mark: the most slots ever in existence, i.e. the peak
   // number of concurrently scheduled events the queue has sized itself for.
@@ -184,53 +201,72 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  void sift_up(std::size_t i) noexcept {
-    const Entry e = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
-  }
+  // One 4-ary implicit min-heap of entries.
+  struct Heap {
+    std::vector<Entry> entries;
 
-  // Removes the root: the last entry sifts down from the top.
-  void pop_root() noexcept {
-    const Entry e = heap_.back();
-    heap_.pop_back();
-    if (heap_.empty()) return;
-    const std::size_t n = heap_.size();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first_child = 4 * i + 1;
-      if (first_child >= n) break;
-      std::size_t best = first_child;
-      const std::size_t last_child = std::min(first_child + 4, n);
-      for (std::size_t c = first_child + 1; c < last_child; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
+    [[nodiscard]] bool empty() const noexcept { return entries.empty(); }
+
+    void push(const Entry& e) {
+      entries.push_back(e);
+      std::size_t i = entries.size() - 1;
+      while (i > 0) {
+        const std::size_t parent = (i - 1) / 4;
+        if (!before(e, entries[parent])) break;
+        entries[i] = entries[parent];
+        i = parent;
       }
-      if (!before(heap_[best], e)) break;
-      heap_[i] = heap_[best];
-      i = best;
+      entries[i] = e;
     }
-    heap_[i] = e;
+
+    // Removes the root: the last entry sifts down from the top.
+    void pop_root() noexcept {
+      const Entry e = entries.back();
+      entries.pop_back();
+      if (entries.empty()) return;
+      const std::size_t n = entries.size();
+      std::size_t i = 0;
+      for (;;) {
+        const std::size_t first_child = 4 * i + 1;
+        if (first_child >= n) break;
+        std::size_t best = first_child;
+        const std::size_t last_child = std::min(first_child + 4, n);
+        for (std::size_t c = first_child + 1; c < last_child; ++c) {
+          if (before(entries[c], entries[best])) best = c;
+        }
+        if (!before(entries[best], e)) break;
+        entries[i] = entries[best];
+        i = best;
+      }
+      entries[i] = e;
+    }
+  };
+
+  // The heap whose root is the earliest pending entry; nullptr if both are
+  // empty.
+  [[nodiscard]] Heap* front_heap() noexcept {
+    if (wires_.empty()) return timers_.empty() ? nullptr : &timers_;
+    if (timers_.empty()) return &wires_;
+    return before(wires_.entries.front(), timers_.entries.front()) ? &wires_ : &timers_;
   }
 
-  // Drops cancelled entries off the root so the front is a live event.
-  // Const because peeking must be const for the Simulator's const
-  // next_event_time(); the compaction is not observable behavior.
-  void skip_cancelled() const {
-    auto* self = const_cast<EventQueue*>(this);
-    while (!heap_.empty()) {
-      const Entry& top = heap_.front();
-      if (slots_[top.slot].live) break;
-      self->release_slot(top.slot);
-      self->pop_root();
+  // Drops cancelled entries off the earlier root until it is a live event,
+  // in the global (time, seq) order, and returns the heap holding that
+  // event (nullptr if none). The compaction is not observable behavior, so
+  // the const next_time() may call it.
+  Heap* skip_cancelled() noexcept {
+    for (;;) {
+      Heap* front = front_heap();
+      if (front == nullptr) return nullptr;
+      const std::uint32_t slot = front->entries.front().slot;
+      if (slots_[slot].live) return front;
+      release_slot(slot);
+      front->pop_root();
     }
   }
 
-  std::vector<Entry> heap_;
+  Heap wires_;   // kNet events
+  Heap timers_;  // every other category
   std::vector<Slot> slots_;
   std::uint32_t free_head_{kNoSlot};
   std::uint64_t next_seq_{0};

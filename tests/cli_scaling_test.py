@@ -13,6 +13,14 @@ Usage: cli_scaling_test.py INCAST_SIM CHECK_TRACE CASE
   burst-metrics-unwritable
                        `burst --metrics-out` into a missing directory exits
                        3 (file I/O), not 1.
+  fabric-defaults-run  bare `fabric` exits 0: the default --flows fits the
+                       default fabric's cross-rack seats.
+  fabric-overflow-exits-config
+                       `fabric --flows 96` (24 seats) exits 2 (bad
+                       configuration), not 5, naming both numbers.
+  flight-dumps-unwritable
+                       flight dumps into a missing directory exit 3 and the
+                       summary line says none of them was written.
 """
 from __future__ import annotations
 
@@ -67,11 +75,50 @@ def burst_metrics_unwritable(incast_sim: str, _check_trace: str,
                            "--metrics-out", "missing/m.json"])
 
 
+def fabric_defaults_run(incast_sim: str, _check_trace: str, workdir: str) -> str | None:
+    run = subprocess.run([incast_sim, "fabric"], cwd=workdir, capture_output=True,
+                         text=True, timeout=240)
+    if run.returncode != 0:
+        return f"expected exit 0, got {run.returncode}; stderr:\n{run.stderr}"
+    return None
+
+
+def fabric_overflow_exits_config(incast_sim: str, _check_trace: str,
+                                 workdir: str) -> str | None:
+    run = subprocess.run([incast_sim, "fabric", "--flows", "96"], cwd=workdir,
+                         capture_output=True, text=True, timeout=60)
+    if run.returncode != 2:
+        return f"expected exit 2, got {run.returncode}; stderr:\n{run.stderr}"
+    if "error [config]" not in run.stderr or "24" not in run.stderr \
+            or "96" not in run.stderr:
+        return f"stderr does not name the 24 seats and 96 flows:\n{run.stderr}"
+    return None
+
+
+def flight_dumps_unwritable(incast_sim: str, _check_trace: str,
+                            workdir: str) -> str | None:
+    run = subprocess.run([incast_sim, "burst", "--flows", "100", "--bursts", "3",
+                          "--queue", "20", "--flight-recorder", "rto-storm:1",
+                          "--flight-recorder-out", "missing/f_"],
+                         cwd=workdir, capture_output=True, text=True, timeout=120)
+    if run.returncode != 3:
+        return f"expected exit 3, got {run.returncode}; stderr:\n{run.stderr}"
+    line = next((l for l in run.stdout.splitlines()
+                 if l.startswith("flight recorder (rto-storm:1): ")), None)
+    if line is None or not line.startswith("flight recorder (rto-storm:1): 0 of ") \
+            or not line.endswith(" dump(s) written"):
+        return f"summary line does not report 0 dumps written: {line!r}"
+    return None
+
+
 CASES = {
     "domains-rejected": domains_rejected,
     "trace-runs": trace_runs,
     "fleet-csv-unwritable": fleet_csv_unwritable,
     "burst-metrics-unwritable": burst_metrics_unwritable,
+    "fabric-defaults-run": fabric_defaults_run,
+    "fabric-overflow-exits-config": fabric_overflow_exits_config,
+    "flight-dumps-unwritable": flight_dumps_unwritable,
 }
 
 

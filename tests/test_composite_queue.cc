@@ -3,10 +3,12 @@
 // end-to-end trim -> NACK -> immediate-retransmit recovery path.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <vector>
 
 #include "net/queue.h"
+#include "packet_fields.h"
 #include "net/topology.h"
 #include "tcp/tcp_connection.h"
 
@@ -23,6 +25,36 @@ DropTailQueue::Config trim_config(std::int64_t capacity) {
   return DropTailQueue::Config{.capacity_packets = capacity,
                                .ecn_threshold_packets = 0,
                                .discipline = QueueDiscipline::kTrimming};
+}
+
+TEST(CompositeQueue, EveryFieldSurvivesBothRingsAcrossGrowthAndWrap) {
+  // Data packets ride the data ring and header-only ones the header ring;
+  // uneven rounds make both rings wrap and grow while wrapped. The header
+  // ring drains first (strict priority), and every field and both INT hops
+  // must come out as they went in.
+  CompositeQueue q{trim_config(1000)};
+  std::deque<Packet> data;
+  std::deque<Packet> headers;
+  int next = 0;
+  Packet out;
+  const auto expect_next = [&] {
+    std::deque<Packet>& ring = headers.empty() ? data : headers;
+    ASSERT_TRUE(q.dequeue(out));
+    expect_same_packet(out, ring.front());
+    ring.pop_front();
+  };
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 5 + 7 * round; ++i) {
+      const std::int64_t payload = i % 3 == 0 ? 0 : 1460;
+      (payload == 0 ? headers : data).push_back(full_packet(next, payload));
+      ASSERT_TRUE(q.enqueue(full_packet(next++, payload)));
+    }
+    const std::size_t take = (data.size() + headers.size()) / 2 + 1;
+    for (std::size_t i = 0; i < take; ++i) expect_next();
+  }
+  while (!data.empty() || !headers.empty()) expect_next();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.stats().trimmed_packets, 0);
 }
 
 TEST(CompositeQueue, TrimsInsteadOfDroppingWhenDataRingIsFull) {

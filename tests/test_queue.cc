@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <utility>
+
+#include "packet_fields.h"
+#include "tcp/cc/hpcc.h"
 
 namespace incast::net {
 namespace {
@@ -156,6 +160,77 @@ TEST_P(QueueCapacityProperty, OccupancyNeverExceedsCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, QueueCapacityProperty,
                          ::testing::Values(1, 2, 3, 10, 65, 1333));
+
+TEST(DropTailQueue, EveryFieldSurvivesRingGrowthAndWrap) {
+  // Rounds of uneven enqueue/dequeue leave the ring's head mid-buffer, so
+  // later rounds wrap around the end and grow (16 -> 32 -> 64 slots) while
+  // wrapped. Every field and both INT hops must come out as they went in.
+  DropTailQueue q{{.capacity_packets = 1000, .ecn_threshold_packets = 0}};
+  std::deque<Packet> expected;
+  int next = 0;
+  Packet out;
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 5 + 7 * round; ++i) {
+      expected.push_back(full_packet(next));
+      ASSERT_TRUE(q.enqueue(full_packet(next++)));
+    }
+    const std::size_t take = expected.size() / 2 + 1;
+    for (std::size_t i = 0; i < take; ++i) {
+      ASSERT_TRUE(q.dequeue(out));
+      expect_same_packet(out, expected.front());
+      expected.pop_front();
+    }
+  }
+  while (!expected.empty()) {
+    ASSERT_TRUE(q.dequeue(out));
+    expect_same_packet(out, expected.front());
+    expected.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+// A packet whose INT stack carries `hops` records of `qlen_bytes` each.
+Packet int_packet(int hops, std::int64_t t_ns, std::int64_t qlen_bytes) {
+  Packet p = make_data_packet(1, 2, 1, 0, 1460);
+  p.int_stack.enabled = true;
+  for (int h = 0; h < hops; ++h) {
+    EXPECT_TRUE(p.int_stack.push(IntHopRecord{.qlen_bytes = qlen_bytes,
+                                              .tx_bytes = t_ns / 10,
+                                              .link_bps = 10'000'000'000,
+                                              .timestamp_ns = t_ns}));
+  }
+  return p;
+}
+
+TEST(DropTailQueue, StaleHopRecordsPastNumHopsAreNeverRead) {
+  // The ring and the caller's slot copy only a packet's stamped hops, so
+  // a slot that last held a 3-hop packet keeps the old records past
+  // num_hops. Those records report a saturated hop (a queue far above a
+  // BDP) and the live ones an idle hop, so HPCC reading a stale record
+  // would crush its window; it must see exactly what a clean stack shows.
+  DropTailQueue q{{.capacity_packets = 100, .ecn_threshold_packets = 0}};
+  tcp::HpccCc from_slot{tcp::HpccConfig{}};
+  tcp::HpccCc from_clean{tcp::HpccConfig{}};
+  Packet slot;
+  for (int k = 1; k <= 6; ++k) {
+    const std::int64_t t = 1000 * k;
+    ASSERT_TRUE(q.enqueue(int_packet(3, t, 10'000'000)));
+    ASSERT_TRUE(q.dequeue(slot));
+    const int live_hops = k % 2;  // alternately 0 and 1 stamped hop
+    ASSERT_TRUE(q.enqueue(int_packet(live_hops, t + 500, 0)));
+    ASSERT_TRUE(q.dequeue(slot));
+    ASSERT_EQ(slot.int_stack.num_hops, live_hops);
+
+    tcp::AckEvent ev;
+    ev.newly_acked_bytes = 1460;
+    ev.now = sim::Time::nanoseconds(t + 500);
+    ev.int_stack = slot.int_stack;
+    from_slot.on_ack(ev);
+    ev.int_stack = int_packet(live_hops, t + 500, 0).int_stack;
+    from_clean.on_ack(ev);
+    EXPECT_EQ(from_slot.cwnd_bytes(), from_clean.cwnd_bytes()) << "ack " << k;
+  }
+}
 
 }  // namespace
 }  // namespace incast::net

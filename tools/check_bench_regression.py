@@ -28,7 +28,9 @@ do not fail the gate (new benches have no baseline yet; retired ones are not
 regressions). ``--require NAME`` (repeatable) hardens this for benches that
 must never silently disappear: a required bench missing from either file —
 e.g. because it errored out, like the dispatch bench does when its
-zero-allocation check trips — fails the gate just like a regression.
+zero-allocation check trips — fails the gate just like a regression. A
+required bench that a ``--ratio`` gate names needs to be in the current run
+only: it is compared within the run, so it has no baseline entry.
 ``--ratio A:B:MAX`` (repeatable) gates a *relative* pair within the current
 run only: benchmark A's throughput must be at least (1 - MAX) of benchmark
 B's. Unlike the baseline comparison this is machine-independent — it pins an
@@ -179,7 +181,7 @@ def check_memory(args):
                 print(f"  {name}: {ratio:.2f}x of baseline "
                       f"({(ratio - 1):.0%} larger)", file=sys.stderr)
         for name in missing_required:
-            where = "baseline" if name not in baseline else "current run"
+            where = "current run" if name not in current else "baseline"
             print(f"FAIL: required benchmark {name} missing a "
                   f"peak_bytes_per_flow counter in the {where}",
                   file=sys.stderr)
@@ -252,8 +254,12 @@ def main():
     for name in sorted(set(current) - set(baseline)):
         print(f"{name:<45} {'(no baseline)':>14} {current[name]:>14.3g}")
 
+    # A bench that only a --ratio gate compares is measured against its
+    # partner within the run; it needs no (machine-bound) baseline entry.
+    ratio_gated = {name for num, den, _ in ratio_gates for name in (num, den)}
     missing_required = [name for name in args.require
-                        if name not in baseline or name not in current]
+                        if name not in current
+                        or (name not in baseline and name not in ratio_gated)]
 
     ratio_failures = []
     for num, den, max_slowdown in ratio_gates:
@@ -279,7 +285,7 @@ def main():
                 print(f"  {name}: {ratio:.2f}x of baseline "
                       f"({(1 - ratio):.0%} slower)", file=sys.stderr)
         for name in missing_required:
-            where = "baseline" if name not in baseline else "current run"
+            where = "current run" if name not in current else "baseline"
             print(f"FAIL: required benchmark {name} missing from {where} "
                   f"(errored out or filtered?)", file=sys.stderr)
         for message in ratio_failures:

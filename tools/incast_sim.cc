@@ -22,7 +22,7 @@
 //       With every fault knob at zero the fault layer is a strict no-op and
 //       the baseline equals the `burst` subcommand's result exactly.
 //
-//   incast_sim fabric [--flows 96] [--pods 2] [--leaves 2] [--hosts-per-leaf 8]
+//   incast_sim fabric [--flows 24] [--pods 2] [--leaves 2] [--hosts-per-leaf 8]
 //                     [--aggs 0] [--spines 2] [--host-link 10Gbps]
 //                     [--leaf-uplink 40Gbps] [--spine-link 100Gbps]
 //                     [--placement cross|single] [--ecmp-seed 1]
@@ -161,6 +161,7 @@
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -292,6 +293,8 @@ struct ObsCli {
   // The first flight dump that could not be written. A dump happens inside
   // the simulation, so the error is raised by write_outputs() instead.
   std::string dump_error;
+  // Flight dumps that reached their file; the recorder counts every dump.
+  int dumps_written{0};
 
   // Must run before finish(args) so the flags are consumed. Returns false
   // (after printing a diagnostic) on a malformed trigger spec.
@@ -325,6 +328,7 @@ struct ObsCli {
               if (dump_error.empty()) dump_error = e.what();
               return;
             }
+            ++dumps_written;
             std::fprintf(stderr, "flight recorder: %s -> %s (%zu events)\n",
                          reason.c_str(), path.c_str(), ring.size());
           });
@@ -351,8 +355,13 @@ struct ObsCli {
                   hub->final_metrics().entries.size(), metrics_out.c_str());
     }
     if (!trigger_spec.empty()) {
-      std::printf("flight recorder (%s): %d dump(s)\n", trigger_spec.c_str(),
-                  hub->recorder().dumps());
+      const int dumps = hub->recorder().dumps();
+      if (dumps_written == dumps) {
+        std::printf("flight recorder (%s): %d dump(s)\n", trigger_spec.c_str(), dumps);
+      } else {
+        std::printf("flight recorder (%s): %d of %d dump(s) written\n",
+                    trigger_spec.c_str(), dumps_written, dumps);
+      }
     }
     if (!dump_error.empty()) throw core::Error{core::ErrorCategory::kIo, dump_error};
   }
@@ -762,7 +771,8 @@ std::string sanitize_for_filename(const std::string& name) {
 
 int run_fabric(core::CliArgs& args) {
   core::FabricIncastExperimentConfig cfg;
-  cfg.num_flows = static_cast<int>(args.int_or("flows", 96, 1, 100'000));
+  // 24 senders fill the default fabric's cross-rack seats: 3 leaves x 8 hosts.
+  cfg.num_flows = static_cast<int>(args.int_or("flows", 24, 1, 100'000));
   cfg.fabric.num_pods = static_cast<int>(args.int_or("pods", 2, 1, 64));
   cfg.fabric.leaves_per_pod = static_cast<int>(args.int_or("leaves", 2, 1, 256));
   cfg.fabric.hosts_per_leaf = static_cast<int>(args.int_or("hosts-per-leaf", 8, 1, 100'000));
@@ -833,7 +843,15 @@ int run_fabric(core::CliArgs& args) {
                   (static_cast<double>(uplinks) *
                    static_cast<double>(cfg.fabric.leaf_uplink.bps())));
 
-  const auto r = core::run_fabric_incast_experiment(cfg);
+  // The experiment throws std::invalid_argument for a fabric it cannot
+  // build or seat: a bad configuration, not an internal failure.
+  const auto r = [&cfg] {
+    try {
+      return core::run_fabric_incast_experiment(cfg);
+    } catch (const std::invalid_argument& e) {
+      throw core::Error{core::ErrorCategory::kConfig, e.what()};
+    }
+  }();
 
   core::Table t = burst_table(r);
   t.add_row({"ECMP path changes", std::to_string(r.ecmp_path_changes)});
